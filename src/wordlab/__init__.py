@@ -15,6 +15,7 @@ from .constraints import ConstraintSet, Violation, check, load_constraints, pars
 from .errors import (
     AlphabetError,
     DomainError,
+    InternalError,
     ParseError,
     ResourceBudgetError,
     WordlabError,

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 verified/ok, 1 refuted or violation found, 2 usage/parse
-error, 3 resource budget exceeded. Machine-readable output is deterministic:
-no timestamps, factors sorted lexicographically.
+error (bad ``WORDLAB_*`` budget values included), 3 resource budget exceeded,
+4 internal disagreement between the library's own checkers (a bug, not a
+verdict). Machine-readable output is deterministic: no timestamps, factors
+sorted lexicographically.
 """
 
 from __future__ import annotations
@@ -12,18 +14,28 @@ import os
 import sys
 
 from . import characterize, constraints, formulas, morphisms, repetitions, search, words
-from .errors import DomainError, ParseError, ResourceBudgetError, WordlabError
+from .errors import DomainError, InternalError, ParseError, ResourceBudgetError, WordlabError
 
 ENV_NODE_BUDGET = "WORDLAB_NODE_BUDGET"
 ENV_LETTER_BUDGET = "WORDLAB_LETTER_BUDGET"
 
 
+def _env_int(name: str, default: int) -> int:
+    value = os.environ.get(name)
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _default_node_budget() -> int:
-    return int(os.environ.get(ENV_NODE_BUDGET, search.DEFAULT_NODE_BUDGET))
+    return _env_int(ENV_NODE_BUDGET, search.DEFAULT_NODE_BUDGET)
 
 
 def _default_letter_budget() -> int:
-    return int(os.environ.get(ENV_LETTER_BUDGET, morphisms.DEFAULT_LETTER_BUDGET))
+    return _env_int(ENV_LETTER_BUDGET, morphisms.DEFAULT_LETTER_BUDGET)
 
 
 def _read_word(args) -> str:
@@ -226,6 +238,9 @@ def main(argv=None) -> int:
     except (ParseError, DomainError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except InternalError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     except WordlabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -26,3 +26,7 @@ class ResourceBudgetError(WordlabError):
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class InternalError(WordlabError):
+    """Two of the library's own checkers disagree: a bug, never a verdict."""

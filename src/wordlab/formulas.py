@@ -9,6 +9,10 @@ powers, periodic blocks such as ABAB or ABABA, doubled blocks uu) and
 enumerates candidate images from period runs of the word instead of blindly
 iterating image lengths; fragments with no usable structure fall back to
 position-anchored backtracking.
+
+The engine reads k-power periods and roots through one index with two
+producers: ``WordPowers`` scans a whole word lazily (the batch path), and
+``PowerStack`` is kept up to date by the search, one letter at a time.
 """
 
 from __future__ import annotations
@@ -120,12 +124,157 @@ def _compiled(f: Formula) -> tuple[_Frag, ...]:
     return tuple(_classify(tuple(ord(ch) - ord("A") for ch in frag)) for frag in f.fragments)
 
 
+def _adjacent_runs(frag: _Frag):
+    """(variable, k) for each run of k >= 2 adjacent occurrences of one variable."""
+    j = 0
+    while j < len(frag.occs):
+        k = frag.runlen[j]
+        if k >= 2:
+            yield frag.occs[j], k
+        j += k
+
+
+def _solved_by_suffix_check(frags: tuple[_Frag, ...], first_only: bool) -> bool:
+    return first_only and len(frags) == 1 and frags[0].kind in ("power", "periodic")
+
+
+def anchored_power_exponents(f: Formula, first_only: bool) -> frozenset[int]:
+    """Exponents k whose k-power periods or roots the anchored search for f reads.
+
+    A ``PowerStack`` handed to ``new_occurrence_exists`` (first_only) or
+    ``new_assignments`` must track at least these.
+    """
+    frags = _compiled(f)
+    if _solved_by_suffix_check(frags, first_only):
+        return frozenset()
+    ks = set()
+    for frag in frags:
+        ks.update(k for _, k in _adjacent_runs(frag))  # a power fragment is one such run
+        if frag.kind == "vsquare":
+            ks.add(2)
+        elif frag.kind == "periodic" and frag.r == 0:
+            ks.add(frag.q)
+    return frozenset(ks)
+
+
 # ---------------------------------------------------------------------------
 # search engine
 
 
+class WordPowers:
+    """k-power periods and roots of one whole word, computed lazily from period runs.
+
+    This is the batch producer of the power index that ``_Engine`` reads; the
+    search keeps the same three queries up to date letter by letter in
+    ``PowerStack``.
+    """
+
+    def __init__(self, w: bytes):
+        self.w = w
+        self.n = len(w)
+        self._runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._roots: dict[int, frozenset[bytes]] = {}
+        self._periods: dict[int, frozenset[int]] = {}
+        self._arr = None
+
+    def runs(self, p: int, min_len: int = 1) -> list[tuple[int, int]]:
+        key = (p, min_len)
+        runs = self._runs.get(key)
+        if runs is None:
+            if self._arr is None and self.n >= 96:
+                import numpy as np
+
+                self._arr = np.frombuffer(self.w, dtype=np.uint8)
+            runs = period_runs(self.w.decode("ascii"), p, self._arr, min_len)
+            self._runs[key] = runs
+        return runs
+
+    def periods(self, k: int) -> frozenset[int]:
+        """Periods g for which some k-power of period g occurs in w."""
+        periods = self._periods.get(k)
+        if periods is None:
+            periods = frozenset(g for g in range(1, self.n // k + 1) if self.runs(g, (k - 1) * g))
+            self._periods[k] = periods
+        return periods
+
+    def roots(self, k: int) -> frozenset[bytes]:
+        """All x such that x^k is a factor of w."""
+        roots = self._roots.get(k)
+        if roots is None:
+            roots = frozenset(
+                x for g in range(1, self.n // k + 1) for x in self.roots_of_period(k, g)
+            )
+            self._roots[k] = roots
+        return roots
+
+    def roots_of_period(self, k: int, g: int):
+        """Roots x of length g with x^k a factor, by run and position; may repeat."""
+        for s, run in self.runs(g, (k - 1) * g):
+            span = run - (k - 1) * g
+            for i in range(s, s + min(g, span + 1)):
+                yield self.w[i : i + g]
+
+
+def power_suffix_periods(buf, n: int, k: int):
+    """Periods g, shortest first, of the k-powers that are suffixes of buf[:n]."""
+    for g in range(1, n // k + 1):
+        if buf[n - k * g : n - g] == buf[n - (k - 1) * g : n]:
+            yield g
+
+
+class PowerStack:
+    """k-power periods and roots of a word that grows and shrinks at its end.
+
+    ``push`` records the k-powers ending at the new last letter, for each
+    tracked exponent k, and ``pop`` forgets exactly what the matching push
+    added. Every factor ends at some earlier push, so after pushing w letter
+    by letter the three queries answer exactly as ``WordPowers(w)`` does.
+    """
+
+    def __init__(self, exponents):
+        self.exponents = tuple(sorted(exponents))
+        self.n = 0
+        # k -> period -> distinct roots of that length, in the order found
+        self._by_period: dict[int, dict[int, list[bytes]]] = {k: {} for k in self.exponents}
+        self._roots: dict[int, set[bytes]] = {k: set() for k in self.exponents}
+        self._added: list[list[tuple[int, bytes]]] = []
+
+    def push(self, buf, n: int) -> None:
+        """Account for the letter buf[n-1]; buf[:n-1] is the word pushed so far."""
+        added = []
+        for k in self.exponents:
+            roots, by_period = self._roots[k], self._by_period[k]
+            for g in power_suffix_periods(buf, n, k):
+                x = bytes(buf[n - g : n])
+                if x not in roots:
+                    roots.add(x)
+                    by_period.setdefault(g, []).append(x)
+                    added.append((k, x))
+        self._added.append(added)
+        self.n = n
+
+    def pop(self) -> None:
+        for k, x in reversed(self._added.pop()):
+            self._roots[k].remove(x)
+            by_period = self._by_period[k]
+            found = by_period[len(x)]
+            found.pop()
+            if not found:
+                del by_period[len(x)]
+        self.n -= 1
+
+    def periods(self, k: int):
+        return self._by_period[k].keys()
+
+    def roots(self, k: int) -> set[bytes]:
+        return self._roots[k]
+
+    def roots_of_period(self, k: int, g: int):
+        return self._by_period[k].get(g, ())
+
+
 class _Engine:
-    def __init__(self, w, f: Formula, cap: int, budget: int | None):
+    def __init__(self, w, f: Formula, cap: int, budget: int | None, powers: PowerStack | None = None):
         self.w: bytes = w.encode("ascii") if isinstance(w, str) else bytes(w)
         self.n = len(self.w)
         self.frags = _compiled(f)
@@ -134,9 +283,8 @@ class _Engine:
         self.steps = 0
         self.results: set[tuple[bytes, ...]] = set()
         self._power_index: dict[int, dict[int, list[int]] | None] = {}
-        self._runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self._roots: dict[int, frozenset[bytes]] = {}
-        self._arr = None
+        self.word = WordPowers(self.w)
+        self.powers = self.word if powers is None else powers
         # per-variable cap: other occurrences in a fragment need >= 1 letter each
         caps = [cap] * self.nvars
         for frag in self.frags:
@@ -155,18 +303,6 @@ class _Engine:
                 partial={tuple(img.decode() for img in t) for t in self.results},
             )
 
-    def _period_runs(self, p: int, min_len: int = 1) -> list[tuple[int, int]]:
-        key = (p, min_len)
-        runs = self._runs.get(key)
-        if runs is None:
-            if self._arr is None and self.n >= 96:
-                import numpy as np
-
-                self._arr = np.frombuffer(self.w, dtype=np.uint8)
-            runs = period_runs(self.w.decode("ascii"), p, self._arr, min_len)
-            self._runs[key] = runs
-        return runs
-
     def _powers(self, k: int) -> dict[int, list[int]] | None:
         """pos -> periods g such that w[pos:pos+k*g] is a k-power; None if too big."""
         if k in self._power_index:
@@ -174,7 +310,7 @@ class _Engine:
         index: dict[int, list[int]] = {}
         pairs = 0
         for g in range(1, self.n // k + 1):
-            for s, run in self._period_runs(g, (k - 1) * g):
+            for s, run in self.word.runs(g, (k - 1) * g):
                 span = run - (k - 1) * g
                 pairs += span + 1
                 if pairs > _POWER_INDEX_MAX:
@@ -184,28 +320,6 @@ class _Engine:
                     index.setdefault(i, []).append(g)
         self._power_index[k] = index
         return index
-
-    def _kpower_roots(self, k: int) -> frozenset[bytes]:
-        """All x such that x^k is a factor of w."""
-        roots = self._roots.get(k)
-        if roots is None:
-            found: set[bytes] = set()
-            for g in range(1, self.n // k + 1):
-                for s, run in self._period_runs(g, (k - 1) * g):
-                    span = run - (k - 1) * g
-                    for i in range(s, s + min(g, span + 1)):
-                        found.add(self.w[i : i + g])
-            roots = frozenset(found)
-            self._roots[k] = roots
-        return roots
-
-    def _power_lengths(self, k: int) -> frozenset[int]:
-        """Periods g for which some k-power of period g occurs in w."""
-        return frozenset(
-            g
-            for g in range(1, self.n // k + 1)
-            if self._period_runs(g, (k - 1) * g)
-        )
 
     def lengths(self, v: int) -> frozenset[int] | None:
         """Allowed image lengths for variable v, from its adjacent runs.
@@ -217,14 +331,9 @@ class _Engine:
         if self._lengths is None:
             sets: list[frozenset[int] | None] = [None] * self.nvars
             for frag in self.frags:
-                j = 0
-                while j < len(frag.occs):
-                    k = frag.runlen[j]
-                    if k >= 2:
-                        u = frag.occs[j]
-                        allowed = self._power_lengths(k)
-                        sets[u] = allowed if sets[u] is None else sets[u] & allowed
-                    j += max(k, 1)
+                for u, k in _adjacent_runs(frag):
+                    allowed = self.powers.periods(k)
+                    sets[u] = allowed if sets[u] is None else sets[u] & allowed
             self._lengths = sets
         return self._lengths[v]
 
@@ -239,13 +348,13 @@ class _Engine:
         to avoid repeated full-text scans for x^k-shaped images."""
         self._step()
         if frag.kind == "power":
-            return assign[frag.occs[0]] in self._kpower_roots(len(frag.occs))
+            return assign[frag.occs[0]] in self.powers.roots(len(frag.occs))
         if frag.kind == "vsquare":
             half = b"".join(assign[v] for v in frag.occs[: len(frag.occs) // 2])
-            return half in self._kpower_roots(2)
+            return half in self.powers.roots(2)
         if frag.kind == "periodic" and frag.r == 0:
             block = b"".join(assign[v] for v in frag.occs[: frag.d])
-            return block in self._kpower_roots(frag.q)
+            return block in self.powers.roots(frag.q)
         img = b"".join(assign[v] for v in frag.occs)
         return self.w.find(img) >= 0
 
@@ -346,18 +455,15 @@ class _Engine:
         k = len(frag.occs)
         seen: set[bytes] = set()
         for g in self._length_candidates(v, 1, min(self.caps[v], self.n // k)):
-            for s, run in self._period_runs(g, (k - 1) * g):
-                span = run - (k - 1) * g
-                for i in range(s, s + min(g, span + 1)):
-                    self._step()
-                    img = self.w[i : i + g]
-                    if img in seen:
-                        continue
-                    if g <= 256 or len(seen) < 100_000:
-                        seen.add(img)  # dedup is best-effort; results dedup at the end
-                    assign2 = list(assign)
-                    assign2[v] = img
-                    yield assign2
+            for img in self.powers.roots_of_period(k, g):
+                self._step()
+                if img in seen:
+                    continue
+                if g <= 256 or len(seen) < 100_000:
+                    seen.add(img)  # dedup is best-effort; results dedup at the end
+                assign2 = list(assign)
+                assign2[v] = img
+                yield assign2
 
     def _splits(self, total: int, caps: list[int], lensets):
         """Compositions of total into positive parts bounded by caps and length sets."""
@@ -384,7 +490,7 @@ class _Engine:
         seen: set[tuple[bytes, ...]] = set()
         for G in range(d, g_hi + 1):
             L_min = q * G + r
-            for s, run in self._period_runs(G, max(L_min - G, 1)):
+            for s, run in self.word.runs(G, max(L_min - G, 1)):
                 count = run + G - L_min + 1  # valid start positions from s
                 avail_base = s + run + G
                 for i in range(s, s + min(G, count)):
@@ -410,7 +516,7 @@ class _Engine:
     def _vsquare_matches(self, frag: _Frag, assign):
         half = frag.occs[: len(frag.occs) // 2]
         for P in range(len(half), self.n // 2 + 1):
-            for s, run in self._period_runs(P, P):
+            for s, run in self.word.runs(P, P):
                 for i in range(s, s + min(P, run - P + 1)):
                     yield from self._match_exact(half, 0, i, i + P, assign)
 
@@ -489,7 +595,7 @@ class _Engine:
         for fi, frag in enumerate(self.frags):
             rest = [x for x in range(len(self.frags)) if x != fi]
             empty = [None] * self.nvars
-            if len(self.frags) == 1 and frag.kind in ("power", "periodic") and first_only:
+            if _solved_by_suffix_check(self.frags, first_only):
                 if self._suffix_special(frag):
                     return True
                 continue
@@ -555,24 +661,39 @@ def avoids(w: str, f: Formula, step_budget: int | None = None) -> bool:
     return not has_occurrence(w, f, step_budget)
 
 
-def new_occurrence_exists(w, f: Formula, step_budget: int | None = None) -> bool:
+def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None) -> _Engine:
+    if powers is not None and powers.n != len(w):
+        raise DomainError(f"power index covers {powers.n} letters, the word has {len(w)}")
+    return _Engine(w, f, len(w), step_budget, powers)
+
+
+def new_occurrence_exists(
+    w, f: Formula, step_budget: int | None = None, powers: PowerStack | None = None
+) -> bool:
     """Occurrence with >= 1 fragment image ending at the last position.
 
     When every proper prefix of ``w`` avoids ``f``, this decides whether ``w``
-    still avoids it; used for incremental checking during search.
+    still avoids it; used for incremental checking during search. ``powers``,
+    if given, is a ``PowerStack`` over ``w`` tracking
+    ``anchored_power_exponents(f, True)``; it replaces the whole-word scan.
     """
     _guard_variables(f)
     if len(w) == 0:
         return False
-    eng = _Engine(w, f, len(w), step_budget)
-    return eng.solve_anchored(first_only=True)
+    return _anchored_engine(w, f, step_budget, powers).solve_anchored(first_only=True)
 
 
-def new_assignments(w, f: Formula, step_budget: int | None = None) -> set[tuple[str, ...]]:
-    """All assignments with >= 1 fragment image ending at the last position."""
+def new_assignments(
+    w, f: Formula, step_budget: int | None = None, powers: PowerStack | None = None
+) -> set[tuple[str, ...]]:
+    """All assignments with >= 1 fragment image ending at the last position.
+
+    ``powers`` is as for ``new_occurrence_exists``, tracking
+    ``anchored_power_exponents(f, False)``.
+    """
     _guard_variables(f)
     if len(w) == 0:
         return set()
-    eng = _Engine(w, f, len(w), step_budget)
+    eng = _anchored_engine(w, f, step_budget, powers)
     eng.solve_anchored(first_only=False)
     return eng.decoded_results()

@@ -2,9 +2,19 @@
 
 The DFS appends letters in ascending order and prunes on violations that
 complete at the appended letter. Factor, square, overlap, graph and exponent
-constraints are suffix-local; formula and occurrence-budget constraints are
-re-checked through suffix-anchored occurrence search, which is exact because
-every prefix on the current branch already passed.
+constraints are suffix-local; so are one-variable power formulas (``AA``,
+``AAA``, ...), which are decided by checking for a k-power suffix. Other
+formula and occurrence-budget constraints are re-checked through
+suffix-anchored occurrence search, which is exact because every prefix on the
+current branch already passed.
+
+Per depth, ``BranchChecker`` keeps what the push at that depth added, and a
+pop (or a rejected push) undoes exactly that: the squares, overlaps and
+occurrence assignments counted against a budget, and, in a ``PowerStack``,
+the k-power periods and roots of the word for every exponent k the anchored
+search reads. A push adds only the k-powers ending at the new letter, so the
+anchored search takes its power lengths, power roots and fresh power images
+from that stack instead of rescanning the word's period runs.
 """
 
 from __future__ import annotations
@@ -12,8 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constraints import ConstraintSet, check as full_check
-from .errors import DomainError, ResourceBudgetError, WordlabError
-from .formulas import new_assignments, new_occurrence_exists
+from .errors import DomainError, InternalError, ResourceBudgetError, WordlabError
+from .formulas import (
+    PowerStack,
+    anchored_power_exponents,
+    new_assignments,
+    new_occurrence_exists,
+    power_suffix_periods,
+)
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -24,6 +40,11 @@ class SearchOutcome:
     max_length: int
     witness: str | None
     tree_nodes: int
+
+
+def _is_power(f) -> bool:
+    """A single-fragment formula in one variable: AA, AAA, ..."""
+    return len(f.fragments) == 1 and len(set(f.fragments[0])) == 1
 
 
 class BranchChecker:
@@ -61,8 +82,16 @@ class BranchChecker:
             self.exp = (e.numerator, e.denominator, strict)
         else:
             self.exp = None
-        self.formulas = c.forbidden_formulas
+        # one-variable powers (AA, AAA, ...) are decided by a suffix check, no engine
+        self.forbidden_powers = tuple(
+            sorted({len(f.fragments[0]) for f in c.forbidden_formulas if _is_power(f)})
+        )
+        self.formulas = tuple(f for f in c.forbidden_formulas if not _is_power(f))
         self.occ = c.occurrence_budget
+        exponents = {k for f in self.formulas for k in anchored_power_exponents(f, True)}
+        if self.occ is not None:
+            exponents |= anchored_power_exponents(self.occ[0], False)
+        self.powers = PowerStack(exponents) if exponents else None
         self.seen_squares: set[bytes] = set()
         self.seen_overlaps: set[bytes] = set()
         self.seen_assignments: set[tuple[str, ...]] = set()
@@ -123,29 +152,38 @@ class BranchChecker:
                                 return "overlap-count"
         if self.exp is not None:
             num, den, strict = self.exp
-            for p in range(1, n):
+            # the violation length grows with p; stop at the last one that fits in n
+            p_max = (n * den - 1) // num if strict else n * den // num
+            for p in range(1, p_max + 1):
                 need = (num * p) // den + 1 if strict else -((-num * p) // den)
-                if need <= n and buf[n - need : n - p] == buf[n - need + p : n]:
+                if buf[n - need : n - p] == buf[n - need + p : n]:
                     self.n = n - 1
                     return "exponent"
 
+        for k in self.forbidden_powers:
+            if any(power_suffix_periods(buf, n, k)):
+                self.n = n - 1
+                return "formula"
+        powers = self.powers
+        if powers is not None:
+            powers.push(buf, n)
         wb: bytes | None = None
         if self.formulas:
             wb = bytes(buf[:n])
             for f in self.formulas:
-                if new_occurrence_exists(wb, f):
-                    self.n = n - 1
+                if new_occurrence_exists(wb, f, powers=powers):
+                    self._unpush()
                     return "formula"
         new_occ: list[tuple[str, ...]] = []
         if self.occ is not None:
             if wb is None:
                 wb = bytes(buf[:n])
             f, budget = self.occ
-            for a in new_assignments(wb, f):
+            for a in new_assignments(wb, f, powers=powers):
                 if a not in self.seen_assignments:
                     new_occ.append(a)
             if len(self.seen_assignments) + len(new_occ) > budget:
-                self.n = n - 1
+                self._unpush()
                 return "occurrence-budget"
 
         if self.scan_squares and self.max_sq is not None:
@@ -159,10 +197,16 @@ class BranchChecker:
             self._occ_stack.append(tuple(new_occ))
         return None
 
+    def _unpush(self) -> None:
+        """Drop the last letter from the word and from the power stack."""
+        self.n -= 1
+        if self.powers is not None:
+            self.powers.pop()
+
     def pop(self) -> None:
         if self.n == 0:
             raise WordlabError("pop on empty checker")
-        self.n -= 1
+        self._unpush()
         if self.scan_squares and self.max_sq is not None:
             for fct in self._sq_stack.pop():
                 self.seen_squares.discard(fct)
@@ -281,7 +325,7 @@ def extendable_set(
     _run_dfs(c, total, budget_nodes, on_good, partial=lambda nodes: set(middles))
     for mid, witness in middles.items():
         if full_check(witness, c) is not None:
-            raise WordlabError(
+            raise InternalError(
                 f"internal disagreement: incremental search emitted {witness} "
                 "but the batch checker rejects it"
             )

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -129,3 +131,36 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
     assert out1 == out2
     assert out1.count("VERDICT") == 2
     assert out1.index("VERDICT first") < out1.index("VERDICT second")
+
+
+@pytest.mark.parametrize(
+    "var, argv",
+    [
+        ("WORDLAB_NODE_BUDGET", ["search", "--constraints", "b3.cons", "--budget-length", "10"]),
+        ("WORDLAB_LETTER_BUDGET", ["generate", "--morphism", "012/02/1", "--length", "6"]),
+    ],
+)
+def test_bad_budget_environment_values(manifest_dir, var, argv):
+    argv = [os.path.join(manifest_dir, a) if a.endswith(".cons") else a for a in argv]
+    src = os.path.join(os.path.dirname(manifest_dir), "src")
+    env = {**os.environ, var: "abc", "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordlab.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and var in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_internal_disagreement_exit_code(tmp_path, capsys, monkeypatch):
+    import wordlab.search
+    from wordlab.constraints import Violation
+
+    monkeypatch.setattr(wordlab.search, "full_check", lambda w, c: Violation("factor", 0, 1, w[:1]))
+    cons = tmp_path / "no11.cons"
+    cons.write_text("alphabet 2\nforbid-factor 11\n")
+    code, out, err = run(
+        capsys, "extendable", "--constraints", str(cons), "--length", "2", "--horizon", "2"
+    )
+    assert code == 4 and out == ""
+    assert err.startswith("error: internal disagreement")

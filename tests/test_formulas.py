@@ -5,6 +5,8 @@ from oracles import naive_occurrences
 from wordlab.errors import DomainError, ParseError
 from wordlab.formulas import (
     Formula,
+    PowerStack,
+    WordPowers,
     avoids,
     find_occurrences,
     format_assignment,
@@ -110,6 +112,33 @@ def test_incremental_assignments_match_batch(w):
             seen |= new
             assert seen == find_occurrences(prefix, f, cap=n), (prefix, str(f))
             assert new_occurrence_exists(prefix, f) == bool(new)
+
+
+@given(st.lists(st.integers(-1, 1), max_size=40))
+def test_power_stack_matches_whole_word_powers(ops):
+    """Pushes and pops leave the stack answering exactly as a whole-word scan."""
+    ks = (2, 3, 4)
+    stack = PowerStack(ks)
+    buf = bytearray(len(ops))
+    for op in ops:
+        if op < 0:
+            if stack.n:
+                stack.pop()
+            continue
+        buf[stack.n] = ord("0") + op
+        stack.push(buf, stack.n + 1)
+        word = WordPowers(bytes(buf[: stack.n]))
+        for k in ks:
+            assert set(stack.periods(k)) == word.periods(k)
+            assert stack.roots(k) == word.roots(k)
+            for g in range(1, stack.n // k + 1):
+                assert list(stack.roots_of_period(k, g)) == list(dict.fromkeys(word.roots_of_period(k, g)))
+
+
+def test_anchored_search_rejects_a_power_stack_of_another_length():
+    f = parse_formula("AA.ABAB.BB")
+    with pytest.raises(DomainError):
+        new_occurrence_exists("0101", f, powers=PowerStack((2,)))
 
 
 def test_step_budget_carries_partial_results():

@@ -9,7 +9,7 @@ from wordlab.errors import DomainError, ResourceBudgetError
 from wordlab.formulas import parse_formula
 from wordlab.graphs import builtin_graph
 from wordlab.repetitions import is_exponent_free
-from wordlab.search import count_by_length, extendable_set, longest_word_search
+from wordlab.search import BranchChecker, count_by_length, extendable_set, longest_word_search
 
 AA = parse_formula("AA")
 SQUARE_FREE_2 = ConstraintSet(2, forbidden_formulas=(AA,))
@@ -135,6 +135,59 @@ def test_occurrence_budget_search_is_exact():
 
     out = longest_word_search(parse_constraints("alphabet 2\nmax-occurrences ABBA 1\n"), 100, 10**6)
     assert out.kind == "exhausted" and out.max_length == 14
+
+
+DIFFERENTIAL_SETS = [
+    pytest.param(ConstraintSet(k, forbidden_formulas=(parse_formula(f),)), id=f"{f}-{k}")
+    for k in (2, 3)
+    for f in ("AA", "AAA", "AAAA", "ABAB", "AAABABAA", "AA.ABAB.BB")
+] + [
+    pytest.param(ConstraintSet(k, occurrence_budget=(parse_formula("ABBA"), 2)), id=f"ABBA<=2-{k}")
+    for k in (2, 3)
+]
+
+
+def _push_all(checker, w):
+    """Push w letter by letter; (length, kind) at the first rejection, else None."""
+    for i, ch in enumerate(w):
+        kind = checker.push(int(ch))
+        if kind is not None:
+            return i + 1, kind
+    return None
+
+
+@pytest.mark.parametrize("c", DIFFERENTIAL_SETS)
+@given(data=st.data())
+@settings(max_examples=25)
+def test_branch_checker_replay_matches_check(c, data):
+    """The first rejected push of a replay is where check's earliest violation ends."""
+    w = data.draw(st.text(alphabet="012"[: c.alphabet_size], min_size=1, max_size=30))
+    rejected = _push_all(BranchChecker(c, len(w)), w)
+    v = check(w, c)
+    assert rejected == (None if v is None else (v.end, v.kind))
+
+
+@pytest.mark.parametrize("c", DIFFERENTIAL_SETS)
+@given(data=st.data())
+@settings(max_examples=25)
+def test_branch_checker_pop_undoes_push(c, data):
+    """After any push/pop sequence the checker answers like a fresh replay of its word."""
+    ops = data.draw(st.lists(st.integers(-1, c.alphabet_size - 1), max_size=30))
+    checker = BranchChecker(c, len(ops) + 1)
+    for op in ops:
+        if op < 0:
+            if checker.n:
+                checker.pop()
+        else:
+            checker.push(op)
+        fresh = BranchChecker(c, checker.n + 1)
+        assert _push_all(fresh, checker.word()) is None
+        for a in range(c.alphabet_size):
+            kind = checker.push(a)
+            assert kind == fresh.push(a), (checker.word(), a)
+            if kind is None:
+                checker.pop()
+                fresh.pop()
 
 
 @pytest.mark.extended
