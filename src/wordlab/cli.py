@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 verified/ok, 1 refuted or violation found, 2 usage/parse
-error (bad ``WORDLAB_*`` budget values included), 3 resource budget exceeded,
+error (bad ``WORDLAB_*`` budget values and unreadable input files included),
+3 resource budget exceeded,
 4 internal disagreement between the library's own checkers (a bug, not a
 verdict). Machine-readable output is deterministic: no timestamps, factors
 sorted lexicographically.
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
     except ResourceBudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    except (ParseError, DomainError, FileNotFoundError) as e:
+    except (ParseError, DomainError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalError as e:

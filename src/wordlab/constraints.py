@@ -25,7 +25,7 @@ from .formulas import (
     parse_formula,
 )
 from .graphs import LabelledGraph, builtin_graph, graph_from_edges
-from .repetitions import _as_array, _violation_length, period_runs
+from .repetitions import _as_array, _violation_length, long_runs
 from .words import validate_word
 
 _KIND_PRIORITY = {
@@ -172,11 +172,15 @@ def parse_constraints(text: str) -> ConstraintSet:
                 if mode not in ("strict", "weak"):
                     raise ParseError("exponent-cap mode must be 'strict' or 'weak'")
                 num, den = etok.split("/") if "/" in etok else (etok, "1")
+                if int(den) == 0:
+                    raise ParseError(f"exponent-cap {etok} has a zero denominator")
                 exp = (Fraction(int(num), int(den)), mode == "strict")
             elif key == "graph":
                 (tok,) = args
                 graph = builtin_graph(tok)
             elif key == "graph-edges":
+                if not args:
+                    raise ParseError("graph-edges needs at least one edge")
                 pairs = []
                 for tok in args:
                     a, b = tok.split("-")
@@ -265,53 +269,32 @@ def check(w: str, c: ConstraintSet) -> Violation | None:
                     cands.append(Violation("graph", i, i + 2, w[i : i + 2]))
                     break
 
-    arr = _as_array(w) if n >= 96 else None
-
-    if c.sq_min_period is not None or c.allowed_squares is not None or c.max_square_count is not None:
-        sq_first: dict[str, int] = {}  # factor -> earliest end (for counting)
-        best_period: tuple[int, int] | None = None  # (end, start) for sq_min
-        best_not_allowed: tuple[int, int] | None = None
-        for p in range(1, n // 2 + 1):
-            for s, run in period_runs(w, p, arr, min_len=p):
-                if c.sq_min_period is not None and p >= c.sq_min_period:
-                    cand = (s + 2 * p, s)
-                    if best_period is None or cand < best_period:
-                        best_period = cand
-                if c.allowed_squares is not None or c.max_square_count is not None:
-                    for i in range(s, s + min(p, run - p + 1)):
-                        fct = w[i : i + 2 * p]
-                        if (
-                            c.allowed_squares is not None
-                            and fct not in c.allowed_squares
-                        ):
-                            cand = (i + 2 * p, i)
-                            if best_not_allowed is None or cand < best_not_allowed:
-                                best_not_allowed = cand
-                            break
-                        sq_first.setdefault(fct, i + 2 * p)
-                if best_not_allowed is not None and c.max_square_count is None:
-                    break
-        if best_period is not None:
-            e, s = best_period
-            cands.append(Violation("square-period", s, e, w[s:e]))
-        if best_not_allowed is not None:
-            e, s = best_not_allowed
-            cands.append(Violation("square-not-allowed", s, e, w[s:e]))
-        if c.max_square_count is not None and len(sq_first) > c.max_square_count:
-            by_end = sorted((e, fct) for fct, e in sq_first.items())
-            e, fct = by_end[c.max_square_count]
-            cands.append(
-                Violation(
-                    "square-count", e - len(fct), e, fct,
-                    f"more than {c.max_square_count} distinct squares",
-                )
-            )
-
-    if c.allowed_overlaps is not None or c.max_overlap_count is not None:
-        ov_first: dict[str, int] = {}
-        best_ov: tuple[int, int] | None = None
-        for p in range(1, (n - 1) // 2 + 1):
-            for s, run in period_runs(w, p, arr, min_len=p + 1):
+    want_sq = (
+        c.sq_min_period is not None or c.allowed_squares is not None or c.max_square_count is not None
+    )
+    want_ov = c.allowed_overlaps is not None or c.max_overlap_count is not None
+    sq_first: dict[str, int] = {}  # factor -> earliest end (for counting)
+    ov_first: dict[str, int] = {}
+    best_period: tuple[int, int] | None = None  # (end, start) for sq_min
+    best_not_allowed: tuple[int, int] | None = None
+    best_ov: tuple[int, int] | None = None
+    if want_sq or want_ov:
+        # runs of length >= p hold the squares; those of length >= p + 1 the overlaps
+        for p, s, run in long_runs(w, range(1, n // 2 + 1), lambda p: p if want_sq else p + 1):
+            if c.sq_min_period is not None and p >= c.sq_min_period:
+                cand = (s + 2 * p, s)
+                if best_period is None or cand < best_period:
+                    best_period = cand
+            if c.allowed_squares is not None or c.max_square_count is not None:
+                for i in range(s, s + min(p, run - p + 1)):
+                    fct = w[i : i + 2 * p]
+                    if c.allowed_squares is not None and fct not in c.allowed_squares:
+                        cand = (i + 2 * p, i)
+                        if best_not_allowed is None or cand < best_not_allowed:
+                            best_not_allowed = cand
+                        break
+                    sq_first.setdefault(fct, i + 2 * p)
+            if want_ov:
                 for i in range(s, s + min(p, run - p)):
                     fct = w[i : i + 2 * p + 1]
                     if c.allowed_overlaps is not None and fct not in c.allowed_overlaps:
@@ -320,33 +303,42 @@ def check(w: str, c: ConstraintSet) -> Violation | None:
                             best_ov = cand
                         break
                     ov_first.setdefault(fct, i + 2 * p + 1)
-        if best_ov is not None:
-            e, s = best_ov
-            cands.append(Violation("overlap-not-allowed", s, e, w[s:e]))
-        if c.max_overlap_count is not None and len(ov_first) > c.max_overlap_count:
-            by_end = sorted((e, fct) for fct, e in ov_first.items())
-            e, fct = by_end[c.max_overlap_count]
-            cands.append(
-                Violation(
-                    "overlap-count", e - len(fct), e, fct,
-                    f"more than {c.max_overlap_count} distinct overlaps",
-                )
+
+    if best_period is not None:
+        e, s = best_period
+        cands.append(Violation("square-period", s, e, w[s:e]))
+    if best_not_allowed is not None:
+        e, s = best_not_allowed
+        cands.append(Violation("square-not-allowed", s, e, w[s:e]))
+    if c.max_square_count is not None and len(sq_first) > c.max_square_count:
+        by_end = sorted((e, fct) for fct, e in sq_first.items())
+        e, fct = by_end[c.max_square_count]
+        cands.append(
+            Violation(
+                "square-count", e - len(fct), e, fct,
+                f"more than {c.max_square_count} distinct squares",
             )
+        )
+    if best_ov is not None:
+        e, s = best_ov
+        cands.append(Violation("overlap-not-allowed", s, e, w[s:e]))
+    if c.max_overlap_count is not None and len(ov_first) > c.max_overlap_count:
+        by_end = sorted((e, fct) for fct, e in ov_first.items())
+        e, fct = by_end[c.max_overlap_count]
+        cands.append(
+            Violation(
+                "overlap-count", e - len(fct), e, fct,
+                f"more than {c.max_overlap_count} distinct overlaps",
+            )
+        )
 
     if c.exponent_cap is not None:
         e_cap, strict = c.exponent_cap
-        best_exp: tuple[int, int, int] | None = None  # (end, start, length)
-        for p in range(1, n):
-            need = _violation_length(e_cap, p, strict)
-            if need > n:
-                continue
-            for s, run in period_runs(w, p, arr, min_len=need - p):
-                cand = (s + need, s, need)
-                if best_exp is None or cand < best_exp:
-                    best_exp = cand
-                break
-        if best_exp is not None:
-            e, s, L = best_exp
+        runs = long_runs(w, range(1, n), lambda p: _violation_length(e_cap, p, strict) - p)
+        # the earliest violation in a run is its first need(p) letters
+        best = min(((s + _violation_length(e_cap, p, strict), s) for p, s, _ in runs), default=None)
+        if best is not None:
+            e, s = best
             cands.append(
                 Violation("exponent", s, e, w[s:e], f"exponent {'>' if strict else '>='} {e_cap}")
             )

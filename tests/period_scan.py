@@ -1,0 +1,163 @@
+"""Second reference for the repetition scanners: the period-by-period scan.
+
+This is the implementation ``repetitions.long_runs`` replaced: one equality
+mask w[i] == w[i+p] per period, cut into maximal runs, with the squares,
+overlaps, exponent caps and the repetition sections of ``check`` read off
+each period in turn. It shares no code with the library's scanners, so the
+differential tests compare two independent computations of the same runs.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+from wordlab.constraints import _KIND_PRIORITY, Violation, check
+
+
+def scan_period_runs(w, p, min_len=1):
+    """Maximal runs (start, length >= min_len) of w[i] == w[i+p]."""
+    n = len(w)
+    if p < 1 or p >= n:
+        return []
+    arr = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+    mask = np.concatenate(([False], arr[p:] == arr[: n - p], [False])).view(np.int8)
+    d = np.diff(mask)
+    starts = np.flatnonzero(d == 1)
+    lengths = np.flatnonzero(d == -1) - starts
+    keep = lengths >= max(min_len, 1)
+    return list(zip(starts[keep].tolist(), lengths[keep].tolist()))
+
+
+def scan_runs(w, periods, min_len):
+    """What ``long_runs`` must return: (p, start, length) per period, in order."""
+    return [(p, s, run) for p in periods for s, run in scan_period_runs(w, p, min_len(p))]
+
+
+def violation_length(e, p, strict):
+    """Shortest length of a period-p factor whose exponent beats the cap e."""
+    if strict:
+        return (e.numerator * p) // e.denominator + 1
+    return -((-e.numerator * p) // e.denominator)
+
+
+def scan_distinct_squares(w):
+    out = set()
+    for p in range(1, len(w) // 2 + 1):
+        for s, run in scan_period_runs(w, p, p):
+            for i in range(s, s + min(p, run - p + 1)):
+                out.add(w[i : i + 2 * p])
+    return out
+
+
+def scan_distinct_min_overlaps(w):
+    out = set()
+    for p in range(1, (len(w) - 1) // 2 + 1):
+        for s, run in scan_period_runs(w, p, p + 1):
+            for i in range(s, s + min(p, run - p)):
+                out.add(w[i : i + 2 * p + 1])
+    return out
+
+
+def scan_find_sq_t(w, t):
+    """(start, period) of the leftmost, then shortest-period, square of period >= t."""
+    best = None
+    for p in range(t, len(w) // 2 + 1):
+        for s, _ in scan_period_runs(w, p, p)[:1]:
+            if best is None or (s, p) < best:
+                best = (s, p)
+    return best
+
+
+def scan_is_exponent_free(w, e, strict):
+    """None, or (start, period, length) of the violation ``is_exponent_free`` reports."""
+    n = len(w)
+    best = None
+    for p in range(1, n):
+        need = violation_length(e, p, strict)
+        if need > n:
+            continue
+        for s, _ in scan_period_runs(w, p, need - p)[:1]:
+            if best is None or (s, p) < best[:2]:
+                best = (s, p, need)
+    return best
+
+
+def _repetition_violations(w, c):
+    n = len(w)
+    cands = []
+    if c.sq_min_period is not None or c.allowed_squares is not None or c.max_square_count is not None:
+        sq_first = {}
+        best_period = best_not_allowed = None
+        for p in range(1, n // 2 + 1):
+            # every run of the period: its first run may hold only allowed
+            # squares while a later one holds an earlier-ending forbidden one
+            for s, run in scan_period_runs(w, p, p):
+                if c.sq_min_period is not None and p >= c.sq_min_period:
+                    best_period = min(best_period or (s + 2 * p, s), (s + 2 * p, s))
+                for i in range(s, s + min(p, run - p + 1)):
+                    fct = w[i : i + 2 * p]
+                    if c.allowed_squares is not None and fct not in c.allowed_squares:
+                        best_not_allowed = min(best_not_allowed or (i + 2 * p, i), (i + 2 * p, i))
+                        break
+                    sq_first.setdefault(fct, i + 2 * p)
+        if best_period is not None:
+            e, s = best_period
+            cands.append(Violation("square-period", s, e, w[s:e]))
+        if best_not_allowed is not None:
+            e, s = best_not_allowed
+            cands.append(Violation("square-not-allowed", s, e, w[s:e]))
+        if c.max_square_count is not None and len(sq_first) > c.max_square_count:
+            e, fct = sorted((e, fct) for fct, e in sq_first.items())[c.max_square_count]
+            cands.append(Violation("square-count", e - len(fct), e, fct,
+                                   f"more than {c.max_square_count} distinct squares"))
+    if c.allowed_overlaps is not None or c.max_overlap_count is not None:
+        ov_first = {}
+        best_ov = None
+        for p in range(1, (n - 1) // 2 + 1):
+            for s, run in scan_period_runs(w, p, p + 1):
+                for i in range(s, s + min(p, run - p)):
+                    fct = w[i : i + 2 * p + 1]
+                    if c.allowed_overlaps is not None and fct not in c.allowed_overlaps:
+                        best_ov = min(best_ov or (i + 2 * p + 1, i), (i + 2 * p + 1, i))
+                        break
+                    ov_first.setdefault(fct, i + 2 * p + 1)
+        if best_ov is not None:
+            e, s = best_ov
+            cands.append(Violation("overlap-not-allowed", s, e, w[s:e]))
+        if c.max_overlap_count is not None and len(ov_first) > c.max_overlap_count:
+            e, fct = sorted((e, fct) for fct, e in ov_first.items())[c.max_overlap_count]
+            cands.append(Violation("overlap-count", e - len(fct), e, fct,
+                                   f"more than {c.max_overlap_count} distinct overlaps"))
+    if c.exponent_cap is not None:
+        e_cap, strict = c.exponent_cap
+        best = None
+        for p in range(1, n):
+            need = violation_length(e_cap, p, strict)
+            if need <= n:
+                for s, _ in scan_period_runs(w, p, need - p)[:1]:
+                    best = min(best or (s + need, s), (s + need, s))
+        if best is not None:
+            e, s = best
+            cands.append(Violation("exponent", s, e, w[s:e],
+                                   f"exponent {'>' if strict else '>='} {e_cap}"))
+    return cands
+
+
+def scan_check(w, c):
+    """``check`` with its square, overlap and exponent sections scanned per period.
+
+    The other sections come from the library's ``check`` run on the
+    constraints without those directives; the earliest-completing violation
+    of the union is the same minimum ``check`` takes.
+    """
+    rest = replace(
+        c, sq_min_period=None, allowed_squares=None, allowed_overlaps=None,
+        max_square_count=None, max_overlap_count=None, exponent_cap=None,
+    )
+    cands = _repetition_violations(w, c)
+    other = check(w, rest)
+    if other is not None:
+        cands.append(other)
+    if not cands:
+        return None
+    return min(cands, key=lambda v: (v.end, _KIND_PRIORITY[v.kind], v.start))

@@ -144,3 +144,16 @@ def test_reports_disjoint_differences(tmp_path):
     fact = set(factors(fixed_point_prefix(manifest.inner, 200), 2))
     assert (ext - fact).isdisjoint(fact - ext)
     assert (ext - fact) | (fact - ext) == ext ^ fact
+
+
+def test_node_budget_exhaustion_never_passes(manifest_dir, capsys):
+    from wordlab.cli import main
+    from wordlab.errors import ResourceBudgetError
+
+    path = os.path.join(manifest_dir, "g4-four-squares")
+    with pytest.raises(ResourceBudgetError):
+        verify_characterization(load_manifest(path), budget_nodes=50)
+    code = main(["verify", "--manifest", path, "--budget-nodes", "50"])
+    out, err = capsys.readouterr()
+    assert code == 3 and "budget" in err
+    assert "VERDICT" not in out and "PASS" not in out

@@ -164,3 +164,70 @@ def test_internal_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     )
     assert code == 4 and out == ""
     assert err.startswith("error: internal disagreement")
+
+
+def run_module(*argv, cwd=None):
+    """Run ``python -m wordlab`` in a fresh interpreter, importing from this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, "-m", "wordlab", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def test_python_dash_m_wordlab():
+    proc = run_module("generate", "--morphism", "012/02/1", "--length", "6")
+    assert proc.returncode == 0 and proc.stdout == "012021\n"
+
+
+MALFORMED_FILES = {
+    "w.txt": "0101\n",
+    "bad.txt": "01x0\n",
+    "empty.txt": "",
+    "ok.cons": "alphabet 2\nforbid-factor 11\n",
+    "zero-den.cons": "alphabet 2\nexponent-cap 1/0\n",
+    "zero-zero.cons": "alphabet 2\nexponent-cap 0/0 weak\n",
+    "no-edges.cons": "alphabet 2\ngraph-edges\n",
+    "unknown.cons": "alphabet 2\nfrobnicate 3\n",
+    "binary.cons": b"alphabet 2\n\xff\xfe\n",
+    "no-target": "name x\nconstraints ok.cons\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["generate", "--morphism", "0/1", "--length", "4"], 2),
+        (["generate", "--morphism", "012/02/1", "--length", "six"], 2),
+        (["generate", "--morphism", "012/02/1", "--length", "10000000000"], 3),
+        (["squares", "--input", "bad.txt"], 2),
+        (["squares", "--input", "sub"], 2),
+        (["overlaps"], 2),
+        (["overlaps", "--input", "missing.txt"], 2),
+        (["exponent", "--input", "empty.txt"], 2),
+        (["match", "--formula", "a1", "--input", "w.txt"], 2),
+        (["match", "--formula", "AB", "--input", "w.txt", "--cap", "0"], 2),
+        (["check", "--constraints", "zero-den.cons", "--input", "w.txt"], 2),
+        (["check", "--constraints", "zero-zero.cons", "--input", "w.txt"], 2),
+        (["check", "--constraints", "binary.cons", "--input", "w.txt"], 2),
+        (["check", "--constraints", "ok.cons", "--input", "bad.txt"], 2),
+        (["search", "--constraints", "unknown.cons", "--budget-length", "10"], 2),
+        (["search", "--constraints", "ok.cons", "--budget-length", "-1"], 2),
+        (["extendable", "--constraints", "no-edges.cons", "--length", "3"], 2),
+        (["extendable", "--constraints", "ok.cons", "--length", "0"], 2),
+        (["counts", "--constraints", "sub", "--max", "3"], 2),
+        (["counts", "--constraints", "ok.cons", "--max", "-1"], 2),
+        (["verify", "--manifest", "no-target"], 2),
+        (["verify", "--manifest", "missing"], 2),
+        (["verify-all", "--dir", "sub"], 2),
+        (["verify-all", "--dir", "w.txt"], 2),
+    ],
+)
+def test_malformed_input_exit_codes(tmp_path, argv, code):
+    for name, text in MALFORMED_FILES.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    (tmp_path / "sub").mkdir()
+    proc = run_module(*argv, cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -58,6 +58,11 @@ def test_parse_constraints_errors():
         parse_constraints("alphabet 2\nforbid-factor 02\n")
     with pytest.raises(DomainError):
         parse_constraints("alphabet 3\ngraph P5\n")  # vertex count mismatch
+    for cap in ("1/0", "0/0"):
+        with pytest.raises(ParseError, match="line 2:"):
+            parse_constraints(f"alphabet 2\nexponent-cap {cap}\n")
+    with pytest.raises(ParseError, match="line 2:"):
+        parse_constraints("alphabet 2\ngraph-edges\n")
 
 
 def test_check_examples():
@@ -69,6 +74,11 @@ def test_check_examples():
 
     v = check("110110110", parse_constraints("alphabet 2\nallow-overlaps\n"))
     assert v.kind == "overlap-not-allowed" and v.witness == "1101101" and v.end == 7
+
+    # the first period-2 run holds only the allowed 0101; the second run's
+    # 1212 completes before the period-1 square 00
+    v = check("01012121200", parse_constraints("alphabet 3\nallow-squares 0101\n"))
+    assert v.kind == "square-not-allowed" and v.witness == "1212" and (v.start, v.end) == (3, 7)
 
 
 def test_check_more_categories():

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     naive_distinct_min_overlaps,
@@ -9,14 +11,18 @@ from oracles import (
     naive_find_sq_t,
     naive_max_exponent,
 )
+from period_scan import scan_check, scan_runs, violation_length
+from wordlab.constraints import check, parse_constraints
 from wordlab.errors import DomainError
 from wordlab.repetitions import (
     Repetition,
+    _rank_table,
     distinct_min_overlaps,
     distinct_squares,
     find_sq_t,
     format_exponent,
     is_exponent_free,
+    long_runs,
     max_exponent,
 )
 
@@ -134,3 +140,82 @@ def test_is_exponent_free_matches_max_exponent(w, e):
             assert len(u) == wit.length
             assert all(u[i] == u[i + wit.period] for i in range(len(u) - wit.period))
             assert (wit.exponent > e) if strict else (wit.exponent >= e)
+
+
+@st.composite
+def mutated_periodic(draw, min_size=96, max_size=700):
+    """A random base of 1-9 letters repeated, then 0-4 point changes."""
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    base = draw(st.text(alphabet=alphabet, min_size=1, max_size=9))
+    n = draw(st.integers(min_size, max_size))
+    w = list((base * (n // len(base) + 1))[:n])
+    for _ in range(draw(st.integers(0, 4))):
+        w[draw(st.integers(0, n - 1))] = draw(st.sampled_from(alphabet))
+    return "".join(w)
+
+
+# 96-700 letters reaches the vectorised path; 90-101 straddles its threshold.
+long_words = st.one_of(
+    st.text(alphabet="01", min_size=2, max_size=95),
+    st.text(alphabet="01", min_size=96, max_size=700),
+    st.text(alphabet="012", min_size=96, max_size=700),
+    mutated_periodic(),
+    mutated_periodic(90, 101),
+)
+
+CAPS = [Fraction(7, 4), Fraction(5, 3), Fraction(2), Fraction(5, 2), Fraction(3)]
+MIN_LENS = {
+    "square": lambda p: p,
+    "overlap": lambda p: p + 1,
+    "every-position": lambda p: 1,  # many samples per period: blocks split periods
+    **{
+        f"cap-{e}-{'strict' if strict else 'weak'}": (
+            lambda p, e=e, strict=strict: violation_length(e, p, strict) - p
+        )
+        for e in CAPS
+        for strict in (True, False)
+    },
+}
+
+
+@pytest.mark.parametrize("min_len", MIN_LENS.values(), ids=MIN_LENS.keys())
+@settings(max_examples=25)
+@given(long_words)
+def test_long_runs_match_period_scan(min_len, w):
+    periods = range(1, len(w))
+    assert list(long_runs(w, periods, min_len)) == scan_runs(w, periods, min_len)
+
+
+@pytest.mark.parametrize("n", [65535, 70000])
+def test_long_runs_on_both_rank_widths(n):
+    """Ranks of a word of n letters run up to n: 16 bits hold them up to 65535."""
+    rng = random.Random(n)
+    u = "".join(rng.choice("01") for _ in range(n - 40))
+    w = u + u[:40]  # a few long factors repeat, so a rank row is stored with ranks near n
+    table = _rank_table(w)
+    assert table.dtype == (np.uint16 if n <= 65535 else np.uint32)
+    assert int(table.max()) > 65535 - 20
+    for k, row in enumerate(table):  # one rank per distinct factor w[i : i + 2**k]
+        assert np.unique(row).size == len({w[i : i + 2**k] for i in range(n + 1)})
+    for periods, min_len in ((range(1, 9), lambda p: 1), (range(1, 65), lambda p: p)):
+        assert list(long_runs(w, periods, min_len)) == scan_runs(w, periods, min_len)
+
+
+REPETITION_CONSTRAINTS = [
+    "forbid-squares-min-period 3",
+    "allow-squares 00 11 0101 1010",
+    "allow-overlaps 000 111 01010",
+    "max-distinct-squares 6\nmax-distinct-overlaps 2",
+    "allow-squares 00 11 22\nmax-distinct-squares 2\nallow-overlaps 000",
+    "exponent-cap 7/4 strict",
+    "exponent-cap 5/2 weak",
+    "exponent-cap 3 strict",
+]
+
+
+@pytest.mark.parametrize("text", REPETITION_CONSTRAINTS)
+@settings(max_examples=25)
+@given(long_words)
+def test_check_matches_period_scan(text, w):
+    c = parse_constraints(f"alphabet 3\n{text}\n")
+    assert check(w, c) == scan_check(w, c)
