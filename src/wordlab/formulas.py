@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, ParseError, ResourceBudgetError
-from .repetitions import period_runs
+from .repetitions import SuffixRuns, period_runs
 
 # Larger patterns blow up combinatorially; use find_sq_t or a localizer
 # reduction instead of SQ_7+ as a literal pattern.
@@ -215,13 +215,6 @@ class WordPowers:
                 yield self.w[i : i + g]
 
 
-def power_suffix_periods(buf, n: int, k: int):
-    """Periods g, shortest first, of the k-powers that are suffixes of buf[:n]."""
-    for g in range(1, n // k + 1):
-        if buf[n - k * g : n - g] == buf[n - (k - 1) * g : n]:
-            yield g
-
-
 class PowerStack:
     """k-power periods and roots of a word that grows and shrinks at its end.
 
@@ -229,22 +222,30 @@ class PowerStack:
     tracked exponent k, and ``pop`` forgets exactly what the matching push
     added. Every factor ends at some earlier push, so after pushing w letter
     by letter the three queries answer exactly as ``WordPowers(w)`` does.
+    The k-power suffixes come from the ``SuffixRuns`` counters of the same
+    word: period g ends one exactly when r_g >= (k - 1) g.
     """
 
-    def __init__(self, exponents):
+    def __init__(self, exponents, runs: SuffixRuns):
         self.exponents = tuple(sorted(exponents))
+        self.runs = runs
         self.n = 0
+        self._suffix_powers = tuple(
+            (k, runs.threshold(lambda p, k=k: (k - 1) * p)) for k in self.exponents
+        )
         # k -> period -> distinct roots of that length, in the order found
         self._by_period: dict[int, dict[int, list[bytes]]] = {k: {} for k in self.exponents}
         self._roots: dict[int, set[bytes]] = {k: set() for k in self.exponents}
         self._added: list[list[tuple[int, bytes]]] = []
 
     def push(self, buf, n: int) -> None:
-        """Account for the letter buf[n-1]; buf[:n-1] is the word pushed so far."""
+        """Account for the letter buf[n-1]; ``runs`` has counted buf[:n] already."""
+        if self.runs.n != n:
+            raise DomainError(f"suffix runs cover {self.runs.n} letters, the word has {n}")
         added = []
-        for k in self.exponents:
+        for k, powers in self._suffix_powers:
             roots, by_period = self._roots[k], self._by_period[k]
-            for g in power_suffix_periods(buf, n, k):
+            for g in self.runs.hits(powers):
                 x = bytes(buf[n - g : n])
                 if x not in roots:
                     roots.add(x)

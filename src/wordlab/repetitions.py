@@ -10,6 +10,11 @@ that are multiples of m(p), not all n - p, and extends each match with
 exact longest-common-extension queries. ``period_runs`` (one period) and
 ``longest_period_run`` (which ``max_exponent`` needs for m = 1, where
 sampling saves nothing) stay passes over the word per period.
+
+``SuffixRuns`` answers the same questions for the suffixes of a word that
+grows and shrinks at its end, as the search needs them: per-period counters
+packed into one int, updated by a push in a fixed number of big-int
+operations.
 """
 
 from __future__ import annotations
@@ -353,3 +358,134 @@ def is_exponent_free(w: str, e: Fraction, strict: bool) -> Repetition | None:
         return None
     s, p = best
     return Repetition(s, p, _violation_length(e, p, strict))
+
+
+# Levels below the top whose counters a ``SuffixRuns`` keeps, and the spacing
+# of the snapshots it keeps further down.
+_WINDOW = 256
+
+
+class SuffixRuns:
+    """Per-period suffix-run counters of a word that grows and shrinks at its end.
+
+    For every period p, r_p counts the trailing positions i of the word with
+    w[i] == w[i-p], so the word ends in a factor of period p and length L
+    exactly when L - p <= r_p. A consumer asks which periods have
+    r_p >= m(p) for a fixed threshold m: m(p) = p finds the square suffixes,
+    p + 1 the overlaps, (k - 1) p the k-powers and need(p) - p the
+    violations of an exponent cap.
+
+    The counters are b-bit fields of one int R (b = 16 up to 32 767 letters,
+    32 above; field p - 1 holds r_p), kept by bit-parallel shift-and
+    (Baeza-Yates & Gonnet, CACM 1992). With MATCH[a] all ones in field p - 1
+    where w[n-p] == a, pushing the letter a is
+
+        R = (R + ONE) & MATCH[a]
+
+    and the periods with r_p >= m(p) are the high bits of R + BIAS_m, field
+    p - 1 of BIAS_m being 2^(b-1) - m(p). Each constant is also kept cut to
+    its first 2^j fields for every j, so an operation costs O(depth), not
+    O(max_length), and a push or pop is a fixed number of them. MATCH[a] is
+    stored as it was just after the last push of a, and shifted up to the
+    current length when a is pushed again, so a push or pop shifts one mask,
+    not one per letter.
+
+    A pop shifts the popped letter's mask back and restores R from a
+    snapshot. One is kept for each of the last 256 levels and for every
+    256th level below them; a pop below the window replays the pushes from
+    the nearest snapshot and refills the window. At depth n the window holds
+    about 32 n·b bytes (5 MB at 10 000 letters) and the sparse snapshots
+    about n²·b / 4096 bytes.
+    """
+
+    def __init__(self, alphabet_size: int, max_length: int):
+        self.n = 0
+        self._fields = f = max(max_length, 1)
+        self._bits = b = 16 if max_length <= 32767 else 32
+        self._dtype = np.dtype("<u2" if b == 16 else "<u4")
+        self._full = (1 << b) - 1
+        self._high = int.from_bytes((1 << (b - 1)).to_bytes(b // 8, "little") * f, "little")
+        self._one = self._cuts(int.from_bytes((1).to_bytes(b // 8, "little") * f, "little"))
+        # MATCH[c] is _match[c] shifted up by n - _synced[c] fields; a pop of c
+        # restores _synced[c] from _synced_before
+        self._match = [0] * alphabet_size
+        self._synced = [0] * alphabet_size
+        self._synced_before: list[int] = []
+        self._letters = bytearray(max_length)
+        self._r = 0
+        self._j = 0
+        self._saved: list[int | None] = [0]  # R by level, None outside the snapshots
+
+    def _cuts(self, const: int) -> tuple[int, ...]:
+        """const cut to its first 2^j fields, for j = 0, 1, ... up to all of them."""
+        b, f = self._bits, self._fields
+        return tuple(const & ((1 << (min(1 << j, f) * b)) - 1) for j in range(f.bit_length() + 1))
+
+    def threshold(self, m: Callable[[int], int]) -> tuple[int, ...]:
+        """The biases testing r_p >= m(p), for ``hits`` and ``any``.
+
+        ``m`` maps each period p to a threshold >= 1; one of at least
+        max_length is never met.
+        """
+        # a counter stays below 2^(b-1), so a larger threshold is never met
+        half = 1 << (self._bits - 1)
+
+        def bias(p):
+            need = m(p)
+            if need < 1:
+                raise DomainError("suffix-run thresholds must be >= 1")
+            return half - need if need < half else 0
+
+        fields = np.fromiter(map(bias, range(1, self._fields + 1)), self._dtype, self._fields)
+        return self._cuts(int.from_bytes(fields.tobytes(), "little"))
+
+    def push(self, letter: int) -> None:
+        n = self.n
+        self._j = j = n.bit_length()  # 2^j fields cover every period up to n
+        b = self._bits
+        synced = self._synced
+        t = synced[letter]
+        match = self._match[letter] << ((n - t) * b)
+        r = self._r = (self._r + self._one[j]) & match
+        self._match[letter] = (match << b) | self._full
+        synced[letter] = n + 1
+        self._synced_before.append(t)
+        self._letters[n] = letter
+        saved = self._saved
+        saved.append(r)
+        self.n = n = n + 1
+        if n > _WINDOW and n % _WINDOW:
+            saved[n - _WINDOW] = None
+
+    def pop(self) -> None:
+        saved = self._saved
+        saved.pop()
+        self.n = n = self.n - 1
+        b = self._bits
+        letter = self._letters[n]
+        t = self._synced_before.pop()
+        self._match[letter] >>= (n + 1 - t) * b
+        self._synced[letter] = t
+        r = saved[n]
+        if r is None:
+            s = n - n % _WINDOW
+            r = saved[s]
+            letters, one = self._letters, self._one
+            match = [m << ((n - t) * b) for m, t in zip(self._match, self._synced)]
+            for i in range(s, n):
+                r = (r + one[i.bit_length()]) & (match[letters[i]] >> ((n - i) * b))
+                saved[i + 1] = r
+        self._r = r
+
+    def any(self, t: tuple[int, ...]) -> bool:
+        """Whether some period p has r_p >= m(p), for t = threshold(m)."""
+        return bool((self._r + t[self._j]) & self._high)
+
+    def hits(self, t: tuple[int, ...]) -> Iterator[int]:
+        """The periods p with r_p >= m(p), ascending, for t = threshold(m)."""
+        x = (self._r + t[self._j]) & self._high
+        b = self._bits
+        while x:
+            low = x & -x
+            yield low.bit_length() // b
+            x ^= low

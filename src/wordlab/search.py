@@ -8,6 +8,18 @@ formula and occurrence-budget constraints are re-checked through
 suffix-anchored occurrence search, which is exact because every prefix on the
 current branch already passed.
 
+Every suffix test on repetitions reads one set of counters,
+``repetitions.SuffixRuns``: for each period p, the length r_p of the run of
+w[i] == w[i-p] that ends the word. The word ends in a square of period p
+when r_p >= p, in an overlap when r_p >= p + 1, in a k-power when
+r_p >= (k - 1) p, and in a violation of an exponent cap when
+r_p >= need(p) - p. The counters are fields of one int, so a push updates
+all of them, and finds every period meeting one threshold, in a fixed number
+of big-int operations of O(depth) size rather than a comparison per period.
+A pop restores them from snapshots: one per level for the last 256 levels
+(about 5 MB at depth 10 000, linear in the depth) and one per 256 levels
+below (about 0.4 MB there, quadratic in the depth).
+
 Per depth, ``BranchChecker`` keeps what the push at that depth added, and a
 pop (or a rejected push) undoes exactly that: the squares, overlaps and
 occurrence assignments counted against a budget, and, in a ``PowerStack``,
@@ -23,20 +35,17 @@ from dataclasses import dataclass
 
 from .constraints import ConstraintSet, check as full_check
 from .errors import DomainError, InternalError, ResourceBudgetError, WordlabError
-from .formulas import (
-    PowerStack,
-    anchored_power_exponents,
-    new_assignments,
-    new_occurrence_exists,
-    power_suffix_periods,
-)
+from .formulas import PowerStack, anchored_power_exponents, new_assignments, new_occurrence_exists
+from .repetitions import SuffixRuns, _violation_length
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    kind: str  # "exhausted" | "reached_budget"
+    # "exhausted" | "reached_budget", or "node-budget-exceeded" for the
+    # partial outcome a ResourceBudgetError carries
+    kind: str
     max_length: int
     witness: str | None
     tree_nodes: int
@@ -73,25 +82,40 @@ class BranchChecker:
             else None
         )
         self.max_ov = c.max_overlap_count
-        self.scan_squares = (
+        scan_squares = (
             self.sq_min is not None or self.allowed_squares is not None or self.max_sq is not None
         )
-        self.scan_overlaps = self.allowed_overlaps is not None or self.max_ov is not None
-        if c.exponent_cap is not None:
-            e, strict = c.exponent_cap
-            self.exp = (e.numerator, e.denominator, strict)
-        else:
-            self.exp = None
+        scan_overlaps = self.allowed_overlaps is not None or self.max_ov is not None
         # one-variable powers (AA, AAA, ...) are decided by a suffix check, no engine
-        self.forbidden_powers = tuple(
-            sorted({len(f.fragments[0]) for f in c.forbidden_formulas if _is_power(f)})
-        )
+        forbidden_powers = {len(f.fragments[0]) for f in c.forbidden_formulas if _is_power(f)}
         self.formulas = tuple(f for f in c.forbidden_formulas if not _is_power(f))
         self.occ = c.occurrence_budget
         exponents = {k for f in self.formulas for k in anchored_power_exponents(f, True)}
         if self.occ is not None:
             exponents |= anchored_power_exponents(self.occ[0], False)
-        self.powers = PowerStack(exponents) if exponents else None
+
+        # each repetition test is one threshold m(p) on the suffix-run counters
+        repetitions = scan_squares or scan_overlaps or c.exponent_cap is not None
+        self.runs = runs = (
+            SuffixRuns(c.alphabet_size, max_length)
+            if repetitions or forbidden_powers or exponents
+            else None
+        )
+        self._squares = None
+        # with no allow-list and no budget, only squares of period >= sq_min matter
+        self._period_bound_only = self.allowed_squares is None and self.max_sq is None
+        if scan_squares:
+            lo = self.sq_min if self._period_bound_only else 1
+            self._squares = runs.threshold(lambda p: p if p >= lo else max_length + 1)
+        self._overlaps = runs.threshold(lambda p: p + 1) if scan_overlaps else None
+        self._exponent = None
+        if c.exponent_cap is not None:
+            e, strict = c.exponent_cap
+            self._exponent = runs.threshold(lambda p: _violation_length(e, p, strict) - p)
+        self._forbidden_powers = tuple(
+            runs.threshold(lambda p, k=k: (k - 1) * p) for k in forbidden_powers
+        )
+        self.powers = PowerStack(exponents, runs) if exponents else None
         self.seen_squares: set[bytes] = set()
         self.seen_overlaps: set[bytes] = set()
         self.seen_assignments: set[tuple[str, ...]] = set()
@@ -118,52 +142,44 @@ class BranchChecker:
                 self.n = n - 1
                 return "factor"
 
+        runs = self.runs
+        if runs is not None:
+            runs.push(letter)
         new_sq: list[bytes] = []
-        if self.scan_squares:
-            sq_min = self.sq_min
-            for p in range(1, n // 2 + 1):
-                if buf[n - 2 * p : n - p] == buf[n - p : n]:
+        if self._squares is not None:
+            if self._period_bound_only:
+                if runs.any(self._squares):
+                    return self._reject("square-period")
+            else:
+                sq_min = self.sq_min
+                for p in runs.hits(self._squares):
                     if sq_min is not None and p >= sq_min:
-                        self.n = n - 1
-                        return "square-period"
+                        return self._reject("square-period")
                     fct = bytes(buf[n - 2 * p : n])
                     if self.allowed_squares is not None and fct not in self.allowed_squares:
-                        self.n = n - 1
-                        return "square-not-allowed"
+                        return self._reject("square-not-allowed")
                     if self.max_sq is not None and fct not in self.seen_squares:
                         if fct not in new_sq:
                             new_sq.append(fct)
                             if len(self.seen_squares) + len(new_sq) > self.max_sq:
-                                self.n = n - 1
-                                return "square-count"
+                                return self._reject("square-count")
         new_ov: list[bytes] = []
-        if self.scan_overlaps:
-            for p in range(1, (n - 1) // 2 + 1):
-                if buf[n - 2 * p - 1 : n - p] == buf[n - p - 1 : n]:
-                    fct = bytes(buf[n - 2 * p - 1 : n])
-                    if self.allowed_overlaps is not None and fct not in self.allowed_overlaps:
-                        self.n = n - 1
-                        return "overlap-not-allowed"
-                    if self.max_ov is not None and fct not in self.seen_overlaps:
-                        if fct not in new_ov:
-                            new_ov.append(fct)
-                            if len(self.seen_overlaps) + len(new_ov) > self.max_ov:
-                                self.n = n - 1
-                                return "overlap-count"
-        if self.exp is not None:
-            num, den, strict = self.exp
-            # the violation length grows with p; stop at the last one that fits in n
-            p_max = (n * den - 1) // num if strict else n * den // num
-            for p in range(1, p_max + 1):
-                need = (num * p) // den + 1 if strict else -((-num * p) // den)
-                if buf[n - need : n - p] == buf[n - need + p : n]:
-                    self.n = n - 1
-                    return "exponent"
+        if self._overlaps is not None:
+            for p in runs.hits(self._overlaps):
+                fct = bytes(buf[n - 2 * p - 1 : n])
+                if self.allowed_overlaps is not None and fct not in self.allowed_overlaps:
+                    return self._reject("overlap-not-allowed")
+                if self.max_ov is not None and fct not in self.seen_overlaps:
+                    if fct not in new_ov:
+                        new_ov.append(fct)
+                        if len(self.seen_overlaps) + len(new_ov) > self.max_ov:
+                            return self._reject("overlap-count")
+        if self._exponent is not None and runs.any(self._exponent):
+            return self._reject("exponent")
+        for kpowers in self._forbidden_powers:
+            if runs.any(kpowers):
+                return self._reject("formula")
 
-        for k in self.forbidden_powers:
-            if any(power_suffix_periods(buf, n, k)):
-                self.n = n - 1
-                return "formula"
         powers = self.powers
         if powers is not None:
             powers.push(buf, n)
@@ -186,10 +202,10 @@ class BranchChecker:
                 self._unpush()
                 return "occurrence-budget"
 
-        if self.scan_squares and self.max_sq is not None:
+        if self.max_sq is not None:
             self.seen_squares.update(new_sq)
             self._sq_stack.append(tuple(new_sq))
-        if self.scan_overlaps and self.max_ov is not None:
+        if self.max_ov is not None:
             self.seen_overlaps.update(new_ov)
             self._ov_stack.append(tuple(new_ov))
         if self.occ is not None:
@@ -197,20 +213,28 @@ class BranchChecker:
             self._occ_stack.append(tuple(new_occ))
         return None
 
-    def _unpush(self) -> None:
-        """Drop the last letter from the word and from the power stack."""
+    def _reject(self, kind: str) -> str:
+        """Undo a push rejected after the counters took the letter, before the power stack."""
         self.n -= 1
+        self.runs.pop()
+        return kind
+
+    def _unpush(self) -> None:
+        """Drop the last letter from the word, the power stack and the counters."""
         if self.powers is not None:
             self.powers.pop()
+        self.n -= 1
+        if self.runs is not None:
+            self.runs.pop()
 
     def pop(self) -> None:
         if self.n == 0:
             raise WordlabError("pop on empty checker")
         self._unpush()
-        if self.scan_squares and self.max_sq is not None:
+        if self.max_sq is not None:
             for fct in self._sq_stack.pop():
                 self.seen_squares.discard(fct)
-        if self.scan_overlaps and self.max_ov is not None:
+        if self.max_ov is not None:
             for fct in self._ov_stack.pop():
                 self.seen_overlaps.discard(fct)
         if self.occ is not None:
@@ -229,10 +253,10 @@ def _run_dfs(c, max_depth, node_budget, on_good, letter_order=None, partial=None
     """
     if max_depth < 0:
         raise DomainError("search depth must be non-negative")
-    checker = BranchChecker(c, max_depth)
     letters = list(letter_order) if letter_order is not None else list(range(c.alphabet_size))
     if sorted(letters) != list(range(c.alphabet_size)):
         raise DomainError("letter order must be a permutation of the alphabet")
+    checker = BranchChecker(c, max_depth)
     nodes = 0
     if max_depth == 0:
         return 0

@@ -5,6 +5,10 @@ mask w[i] == w[i+p] per period, cut into maximal runs, with the squares,
 overlaps, exponent caps and the repetition sections of ``check`` read off
 each period in turn. It shares no code with the library's scanners, so the
 differential tests compare two independent computations of the same runs.
+
+``PeriodScanChecker`` is likewise the search checker that
+``repetitions.SuffixRuns`` replaced: every push compares the word's suffix
+with itself once per period.
 """
 
 from dataclasses import replace
@@ -12,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from wordlab.constraints import _KIND_PRIORITY, Violation, check
+from wordlab.formulas import new_assignments, new_occurrence_exists
 
 
 def scan_period_runs(w, p, min_len=1):
@@ -161,3 +166,106 @@ def scan_check(w, c):
     if not cands:
         return None
     return min(cands, key=lambda v: (v.end, _KIND_PRIORITY[v.kind], v.start))
+
+
+def _is_power(f):
+    """AA, AAA, ...: one fragment in one variable."""
+    return len(f.fragments) == 1 and len(set(f.fragments[0])) == 1
+
+
+class PeriodScanChecker:
+    """``search.BranchChecker`` with a per-period loop for every repetition test.
+
+    Formulas other than one-variable powers and occurrence budgets run the
+    anchored search on the whole word, with no power stack.
+    """
+
+    def __init__(self, c, max_length):
+        self.c = c
+        self.buf = bytearray(max_length + 1)
+        self.n = 0
+        self.adj = c.graph.adjacency() if c.graph is not None else None
+        self.factors = {f.encode() for f in c.forbidden_factors}
+        self.allowed_squares = {s.encode() for s in c.allowed_squares or ()}
+        self.allowed_overlaps = {s.encode() for s in c.allowed_overlaps or ()}
+        powers = [f for f in c.forbidden_formulas if _is_power(f)]
+        self.power_exponents = sorted({len(f.fragments[0]) for f in powers})
+        self.formulas = [f for f in c.forbidden_formulas if f not in powers]
+        self.seen = []  # per depth: (squares, overlaps, assignments) this push added
+
+    def word(self):
+        return self.buf[: self.n].decode("ascii")
+
+    def _seen(self, i):
+        return {x for added in self.seen for x in added[i]}
+
+    def push(self, letter):
+        kind, added = self._scan(letter)
+        if kind is None:
+            self.seen.append(added)
+        else:
+            self.n -= 1
+        return kind
+
+    def pop(self):
+        self.seen.pop()
+        self.n -= 1
+
+    def _scan(self, letter):
+        c, buf = self.c, self.buf
+        buf[self.n] = 48 + letter
+        self.n = n = self.n + 1
+        if self.adj is not None and n >= 2 and not self.adj[buf[n - 2] - 48][buf[n - 1] - 48]:
+            return "graph", None
+        if any(bytes(buf[n - len(f) : n]) == f for f in self.factors if len(f) <= n):
+            return "factor", None
+
+        new_sq = []
+        squares = (c.sq_min_period, c.allowed_squares, c.max_square_count)
+        if any(x is not None for x in squares):
+            seen = self._seen(0)
+            for p in range(1, n // 2 + 1):
+                if buf[n - 2 * p : n - p] == buf[n - p : n]:
+                    if c.sq_min_period is not None and p >= c.sq_min_period:
+                        return "square-period", None
+                    fct = bytes(buf[n - 2 * p : n])
+                    if c.allowed_squares is not None and fct not in self.allowed_squares:
+                        return "square-not-allowed", None
+                    if c.max_square_count is not None and fct not in seen and fct not in new_sq:
+                        new_sq.append(fct)
+                        if len(seen) + len(new_sq) > c.max_square_count:
+                            return "square-count", None
+        new_ov = []
+        if c.allowed_overlaps is not None or c.max_overlap_count is not None:
+            seen = self._seen(1)
+            for p in range(1, (n - 1) // 2 + 1):
+                if buf[n - 2 * p - 1 : n - p] == buf[n - p - 1 : n]:
+                    fct = bytes(buf[n - 2 * p - 1 : n])
+                    if c.allowed_overlaps is not None and fct not in self.allowed_overlaps:
+                        return "overlap-not-allowed", None
+                    if c.max_overlap_count is not None and fct not in seen and fct not in new_ov:
+                        new_ov.append(fct)
+                        if len(seen) + len(new_ov) > c.max_overlap_count:
+                            return "overlap-count", None
+        if c.exponent_cap is not None:
+            e, strict = c.exponent_cap
+            for p in range(1, n):
+                need = violation_length(e, p, strict)
+                if need <= n and buf[n - need : n - p] == buf[n - need + p : n]:
+                    return "exponent", None
+        for k in self.power_exponents:
+            for g in range(1, n // k + 1):
+                if buf[n - k * g : n - g] == buf[n - (k - 1) * g : n]:
+                    return "formula", None
+
+        wb = bytes(buf[:n])
+        if any(new_occurrence_exists(wb, f) for f in self.formulas):
+            return "formula", None
+        new_occ = []
+        if c.occurrence_budget is not None:
+            f, budget = c.occurrence_budget
+            seen = self._seen(2)
+            new_occ = [a for a in new_assignments(wb, f) if a not in seen]
+            if len(seen) + len(new_occ) > budget:
+                return "occurrence-budget", None
+        return None, (new_sq, new_ov, new_occ)

@@ -15,7 +15,7 @@ from wordlab.formulas import (
     new_occurrence_exists,
     parse_formula,
 )
-from wordlab.repetitions import distinct_squares
+from wordlab.repetitions import SuffixRuns, distinct_squares
 
 binary = st.text(alphabet="01", max_size=40)
 
@@ -118,14 +118,17 @@ def test_incremental_assignments_match_batch(w):
 def test_power_stack_matches_whole_word_powers(ops):
     """Pushes and pops leave the stack answering exactly as a whole-word scan."""
     ks = (2, 3, 4)
-    stack = PowerStack(ks)
+    runs = SuffixRuns(2, len(ops))
+    stack = PowerStack(ks, runs)
     buf = bytearray(len(ops))
     for op in ops:
         if op < 0:
             if stack.n:
                 stack.pop()
+                runs.pop()
             continue
         buf[stack.n] = ord("0") + op
+        runs.push(op)
         stack.push(buf, stack.n + 1)
         word = WordPowers(bytes(buf[: stack.n]))
         for k in ks:
@@ -138,7 +141,7 @@ def test_power_stack_matches_whole_word_powers(ops):
 def test_anchored_search_rejects_a_power_stack_of_another_length():
     f = parse_formula("AA.ABAB.BB")
     with pytest.raises(DomainError):
-        new_occurrence_exists("0101", f, powers=PowerStack((2,)))
+        new_occurrence_exists("0101", f, powers=PowerStack((2,), SuffixRuns(2, 4)))
 
 
 def test_step_budget_carries_partial_results():

@@ -16,6 +16,7 @@ from wordlab.constraints import check, parse_constraints
 from wordlab.errors import DomainError
 from wordlab.repetitions import (
     Repetition,
+    SuffixRuns,
     _rank_table,
     distinct_min_overlaps,
     distinct_squares,
@@ -219,3 +220,52 @@ REPETITION_CONSTRAINTS = [
 def test_check_matches_period_scan(text, w):
     c = parse_constraints(f"alphabet 3\n{text}\n")
     assert check(w, c) == scan_check(w, c)
+
+
+def _suffix_run(w, p):
+    """Trailing positions i of w with w[i] == w[i-p], counted from the end."""
+    r = 0
+    while r < len(w) - p and w[-1 - r] == w[-1 - r - p]:
+        r += 1
+    return r
+
+
+@given(data=st.data())
+def test_suffix_runs_match_direct_counts(data):
+    """After any pushes and pops the hits are the periods whose run meets each threshold.
+
+    The word starts as a random block repeated past its length, so long
+    runs of large periods occur, then random pushes (-1: pop) follow.
+    """
+    block = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=40))
+    word = block * 4
+    word = word[: len(block) + data.draw(st.integers(0, len(word) - len(block)))]
+    ops = word + data.draw(st.lists(st.integers(-1, 2), max_size=40))
+    thresholds = {
+        "square": lambda p: p,
+        "overlap": lambda p: p + 1,
+        "cube": lambda p: 2 * p,
+        "7/4 strict": lambda p: violation_length(Fraction(7, 4), p, True) - p,
+        "never": lambda p: len(ops) + 1,
+    }
+    runs = SuffixRuns(3, len(ops))
+    tests = {name: runs.threshold(m) for name, m in thresholds.items()}
+    w = []
+    for op in ops:
+        if op < 0:
+            if w:
+                runs.pop()
+                w.pop()
+        else:
+            runs.push(op)
+            w.append(op)
+        assert runs.n == len(w)
+        for name, m in thresholds.items():
+            expected = [p for p in range(1, len(w)) if _suffix_run(w, p) >= m(p)]
+            assert list(runs.hits(tests[name])) == expected, name
+            assert runs.any(tests[name]) == bool(expected)
+
+
+def test_suffix_runs_reject_thresholds_below_one():
+    with pytest.raises(DomainError):
+        SuffixRuns(2, 10).threshold(lambda p: p - 1)

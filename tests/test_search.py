@@ -1,10 +1,15 @@
+import glob
+import os
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import MANIFEST_DIR
 from oracles import all_words
-from wordlab.constraints import ConstraintSet, check, parse_constraints
+from period_scan import PeriodScanChecker
+from wordlab.constraints import ConstraintSet, check, load_constraints, parse_constraints
 from wordlab.errors import DomainError, ResourceBudgetError
 from wordlab.formulas import parse_formula
 from wordlab.graphs import builtin_graph
@@ -144,6 +149,27 @@ DIFFERENTIAL_SETS = [
 ] + [
     pytest.param(ConstraintSet(k, occurrence_budget=(parse_formula("ABBA"), 2)), id=f"ABBA<=2-{k}")
     for k in (2, 3)
+] + [
+    pytest.param(parse_constraints(f"alphabet {k}\n{line}\n"), id=f"{line}-{k}")
+    for k in (2, 3)
+    for line in (
+        "forbid-squares-min-period 2",
+        "forbid-squares-min-period 3",
+        "allow-squares 00 11 0101 1010 010010",
+        "allow-overlaps 000 111 01010",
+        "max-distinct-squares 5",
+        "max-distinct-overlaps 2",
+    )
+] + [
+    pytest.param(
+        ConstraintSet(2 if e >= 2 else 3, exponent_cap=(e, strict)),
+        id=f"exponent-cap-{e}-{'strict' if strict else 'weak'}",
+    )
+    for e in (Fraction(5, 3), Fraction(7, 4), Fraction(2), Fraction(5, 2), Fraction(3))
+    for strict in (True, False)
+] + [
+    pytest.param(load_constraints(path), id=os.path.basename(path))
+    for path in sorted(glob.glob(os.path.join(MANIFEST_DIR, "*.cons")))
 ]
 
 
@@ -161,7 +187,7 @@ def _push_all(checker, w):
 @settings(max_examples=25)
 def test_branch_checker_replay_matches_check(c, data):
     """The first rejected push of a replay is where check's earliest violation ends."""
-    w = data.draw(st.text(alphabet="012"[: c.alphabet_size], min_size=1, max_size=30))
+    w = data.draw(st.text(alphabet="0123456789"[: c.alphabet_size], min_size=1, max_size=30))
     rejected = _push_all(BranchChecker(c, len(w)), w)
     v = check(w, c)
     assert rejected == (None if v is None else (v.end, v.kind))
@@ -188,6 +214,110 @@ def test_branch_checker_pop_undoes_push(c, data):
             if kind is None:
                 checker.pop()
                 fresh.pop()
+
+
+class _Lockstep:
+    """A checker and the period-scan reference, pushed and popped together."""
+
+    def __init__(self, c, max_length):
+        self.c = c
+        self.checker = BranchChecker(c, max_length)
+        self.ref = PeriodScanChecker(c, max_length)
+
+    def push(self, a):
+        kind = self.checker.push(a)
+        assert kind == self.ref.push(a), (self.checker.word(), a)
+        return kind
+
+    def pop(self):
+        self.checker.pop()
+        self.ref.pop()
+
+    def probe(self):
+        """Push every letter and undo the accepted ones."""
+        for a in range(self.c.alphabet_size):
+            if self.push(a) is None:
+                self.pop()
+
+
+def _descend(both, tried, depth):
+    """Depth-first search from the current word until it has ``depth`` letters.
+
+    tried[d] is the next letter to try at depth d, as in ``_run_dfs``.
+    """
+    while both.checker.n < depth:
+        d = both.checker.n
+        if len(tried) == d:
+            tried.append(0)
+        if tried[d] == both.c.alphabet_size:
+            tried.pop()
+            both.pop()
+            continue
+        tried[d] += 1
+        both.push(tried[d] - 1)
+
+
+DEEP_SETS = [
+    pytest.param("alphabet 4\ngraph C4\nexponent-cap 5/3 strict\n", id="C4-5/3+"),
+    pytest.param("alphabet 3\nexponent-cap 7/4 strict\n", id="ternary-7/4+"),
+    pytest.param("alphabet 3\nforbid-formula AA\n", id="ternary-square-free"),
+]
+
+
+@pytest.mark.parametrize("text", DEEP_SETS)
+def test_deep_undo_matches_period_scan(text):
+    """Pops far below the counters' snapshot window leave every push exact.
+
+    A search goes deeper than three windows of 256 levels; then, several
+    times, it pops down to some level, probes every letter and goes back
+    down. Every push is compared with the reference. The levels include the
+    first one below the window and the last one of a 256-level block, where
+    the pop rebuilds the counters by replaying pushes.
+    """
+    c = parse_constraints(text)
+    depth = 3 * 256 + 40
+    both, tried = _Lockstep(c, depth), []
+    rng = random.Random(text)
+    _descend(both, tried, depth)
+    for level in [depth - 256, 511, 255] + [rng.randrange(depth) for _ in range(3)]:
+        while both.checker.n > level:
+            both.pop()
+        del tried[level + 1 :]
+        both.probe()
+        _descend(both, tried, depth)
+    assert both.checker.n == depth and check(both.checker.word(), c) is None
+
+
+@pytest.mark.parametrize("max_length, bits", [(32_767, 16), (32_768, 32)])
+def test_counters_on_both_field_widths(max_length, bits):
+    """Either side of the switch to 32-bit counters the checker agrees with the reference."""
+    c = parse_constraints(
+        "alphabet 3\nforbid-squares-min-period 3\nmax-distinct-overlaps 4\n"
+        "exponent-cap 3 weak\nforbid-formula AAAA ABAB\n"
+    )
+    both = _Lockstep(c, max_length)
+    assert both.checker.runs._bits == bits
+    rng = random.Random(max_length)
+    for _ in range(300):
+        if both.checker.n and rng.random() < 0.3:
+            both.pop()
+        else:
+            both.push(rng.randrange(3))
+        both.probe()
+
+
+def test_checker_set_up_is_linear_in_max_length():
+    """A million-letter checker is built and used at once; a bad letter order fails first."""
+    c4 = parse_constraints("alphabet 4\ngraph C4\nexponent-cap 5/3 strict\n")
+    checker = BranchChecker(c4, 10**6)
+    for a in (0, 1, 2, 1):
+        assert checker.push(a) is None
+    assert checker.push(2) == "exponent"
+    checker.pop()
+    assert checker.word() == "012"
+    del checker
+    with pytest.raises(DomainError):
+        longest_word_search(c4, 10**6, 1000, letter_order=[0, 0, 1, 2])
 
 
 @pytest.mark.extended
