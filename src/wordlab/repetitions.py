@@ -11,6 +11,11 @@ exact longest-common-extension queries. ``period_runs`` (one period) and
 ``longest_period_run`` (which ``max_exponent`` needs for m = 1, where
 sampling saves nothing) stay passes over the word per period.
 
+Words shorter than ``_NUMPY_MIN`` letters, where per-call overhead is the
+cost, take a packed path in ``distinct_squares``, ``distinct_min_overlaps``
+and ``max_exponent``: the letters are the bytes of one int, and one period's
+agreements w[i] == w[i+p] are a handful of big-int operations.
+
 ``SuffixRuns`` answers the same questions for the suffixes of a word that
 grows and shrinks at its end, as the search needs them: per-period counters
 packed into one int, updated by a push in a fixed number of big-int
@@ -31,6 +36,9 @@ from .errors import DomainError
 _NUMPY_MIN = 96
 # Samples per vectorised pass of ``long_runs``; bounds its temporaries.
 _BLOCK = 8192
+# Byte fields 0 .. n - 1 holding 0x7f, and 0x80, for each n < _NUMPY_MIN.
+_LOW7 = [int.from_bytes(b"\x7f" * n, "little") for n in range(_NUMPY_MIN)]
+_HIGH = [int.from_bytes(b"\x80" * n, "little") for n in range(_NUMPY_MIN)]
 
 
 @dataclass(frozen=True)
@@ -116,21 +124,6 @@ def longest_period_run(
     n = len(w)
     if p < 1 or p >= n:
         return None
-    if n < _NUMPY_MIN and arr is None:
-        best_s = -1
-        best_run = 0
-        start = -1
-        for i in range(n - p):
-            if w[i] == w[i + p]:
-                if start < 0:
-                    start = i
-            elif start >= 0:
-                if i - start > best_run:
-                    best_s, best_run = start, i - start
-                start = -1
-        if start >= 0 and n - p - start > best_run:
-            best_s, best_run = start, n - p - start
-        return (best_s, best_run) if best_run else None
     if arr is None:
         arr = _as_array(w)
     mask = arr[p:] == arr[: n - p]
@@ -279,8 +272,53 @@ def _long_runs_by_ranks(
         yield from zip(p[keep].tolist(), (j - back)[keep].tolist(), length[keep].tolist())
 
 
+def _packed(w: str) -> int:
+    """The letters of w as the bytes of one int, w[0] lowest."""
+    return int.from_bytes(w.encode("ascii"), "little")
+
+
+# The short-word paths below read the agreements w[i] == w[i + p] of one
+# period off x = _packed(w), n = len(w) < _NUMPY_MIN: a byte field f of
+# x ^ (x >> 8p) is zero exactly at an agreement, and, as ASCII keeps f below
+# 0x80, f + 0x7f has bit 7 set exactly when f is not, with no carry into the
+# next field. So
+#     _HIGH[n - p] & ~((x ^ (x >> 8p)) + _LOW7[n])
+# holds 0x80 in field i where w[i] == w[i + p] and 0 elsewhere; the loops
+# write it out, since a helper call per period is most of its cost.
+
+
+def _short_windows(w: str, extra: int) -> set[str]:
+    """Distinct factors of period p and length 2p + extra, for w under ``_NUMPY_MIN`` letters."""
+    n = len(w)
+    x = _packed(w)
+    low, high = _LOW7[n], _HIGH
+    out: set[str] = set()
+    y = x
+    for p in range(1, (n - extra) // 2 + 1):
+        y >>= 8
+        m = high[n - p] & ~((x ^ y) + low)
+        need = p + extra  # agreements in a row that make one such factor
+        if m.bit_count() < need:
+            continue
+        # keep field i only if fields i .. i + need - 1 all agree
+        k = 1
+        while m and k < need:
+            step = k if 2 * k <= need else need - k
+            m &= m >> (8 * step)
+            k += step
+        length = 2 * p + extra
+        while m:
+            bit = m & -m
+            i = (bit.bit_length() >> 3) - 1
+            out.add(w[i : i + length])
+            m ^= bit
+    return out
+
+
 def distinct_squares(w: str) -> set[str]:
     """All distinct factors of the form uu, u non-empty."""
+    if len(w) < _NUMPY_MIN:
+        return _short_windows(w, 0)
     out: set[str] = set()
     for p, s, run in long_runs(w, range(1, len(w) // 2 + 1), lambda p: p):
         # windows repeat with stride p inside a periodic run
@@ -291,6 +329,8 @@ def distinct_squares(w: str) -> set[str]:
 
 def distinct_min_overlaps(w: str) -> set[str]:
     """Distinct minimal overlap witnesses: factors of length 2p+1 with period p."""
+    if len(w) < _NUMPY_MIN:
+        return _short_windows(w, 1)
     out: set[str] = set()
     for p, s, run in long_runs(w, range(1, (len(w) - 1) // 2 + 1), lambda p: p + 1):
         for i in range(s, s + min(p, run - p)):
@@ -317,7 +357,9 @@ def max_exponent(w: str) -> tuple[Fraction, Repetition]:
     n = len(w)
     if n < 2:
         raise DomainError("max_exponent needs a word of length >= 2")
-    arr = _as_array(w) if n >= _NUMPY_MIN else None
+    if n < _NUMPY_MIN:
+        return _short_max_exponent(w)
+    arr = _as_array(w)
     num, den = 1, 1  # best exponent as a raw ratio, compared by cross-multiplication
     witness = Repetition(0, 1, 1)
     for p in range(1, n):
@@ -333,6 +375,36 @@ def max_exponent(w: str) -> tuple[Fraction, Repetition]:
             num, den = p + run, p
             witness = Repetition(at, p, p + run)
     return Fraction(num, den), witness
+
+
+def _short_max_exponent(w: str) -> tuple[Fraction, Repetition]:
+    """``max_exponent`` for 2 <= len(w) < ``_NUMPY_MIN``, on packed agreements."""
+    n = len(w)
+    x = _packed(w)
+    low, high = _LOW7[n], _HIGH
+    num, den = 1, 1
+    at, period = 0, 1
+    y = x
+    for p in range(1, n):
+        if n * den < num * p:
+            break
+        y >>= 8
+        m = high[n - p] & ~((x ^ y) + low)
+        # a run shorter than p (num - den) / den cannot reach the best exponent
+        if not m or m.bit_count() * den < p * (num - den):
+            continue
+        # after run - 1 steps, the fields left start a longest run
+        run = 1
+        t = m & (m >> 8)
+        while t:
+            m, run = t, run + 1
+            t = m & (m >> 8)
+        s = ((m & -m).bit_length() >> 3) - 1
+        lhs = (p + run) * den
+        rhs = num * p
+        if lhs > rhs or (lhs == rhs and (s, p) < (at, period)):
+            num, den, at, period = p + run, p, s, p
+    return Fraction(num, den), Repetition(at, period, num)  # den == period
 
 
 def _violation_length(e: Fraction, p: int, strict: bool) -> int:

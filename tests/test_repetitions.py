@@ -119,6 +119,21 @@ def test_max_exponent_matches_oracle(w):
     assert all(u[i] == u[i + wit.period] for i in range(len(u) - wit.period))
 
 
+def test_packed_and_array_paths_match_oracles_at_the_switch():
+    # lengths 94..97 straddle the switch from packed ints to numpy arrays;
+    # ten letters give every byte difference the packed path can meet
+    rng = random.Random(96)
+    words = [("0110" * 30)[:n] for n in range(94, 98)] + [("0120" * 30)[:n] for n in range(94, 98)]
+    for alphabet in ("01", "012", "0123456789"):
+        words += ["".join(rng.choice(alphabet) for _ in range(n)) for n in range(94, 98)]
+    for w in words:
+        assert distinct_squares(w) == naive_distinct_squares(w)
+        assert distinct_min_overlaps(w) == naive_distinct_min_overlaps(w)
+        exp, wit = max_exponent(w)
+        assert (exp, wit.start, wit.period) == naive_max_exponent(w)
+        assert wit.length == exp * wit.period
+
+
 @given(binary)
 def test_cross_operation_invariants(w):
     squares = distinct_squares(w)
