@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import AlphabetError, DomainError, ParseError
 from .formulas import (
     MAX_PATTERN_VARIABLES,
@@ -25,7 +23,7 @@ from .formulas import (
     parse_formula,
 )
 from .graphs import LabelledGraph, builtin_graph, graph_from_edges
-from .repetitions import _as_array, _violation_length, long_runs
+from .repetitions import _violation_length, long_runs
 from .words import validate_word
 
 _KIND_PRIORITY = {
@@ -254,20 +252,14 @@ def check(w: str, c: ConstraintSet) -> Violation | None:
         if i >= 0:
             cands.append(Violation("factor", i, i + len(fct), fct))
 
-    if c.graph is not None and n >= 2:
+    if c.graph is not None:
+        # a walk avoids the length-2 factors of the graph's non-edges
         adj = c.graph.adjacency()
-        if n >= 512:
-            arr_g = _as_array(w) - ord("0")
-            ok = np.array(adj, dtype=bool)[arr_g[:-1], arr_g[1:]]
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                i = int(bad[0])
-                cands.append(Violation("graph", i, i + 2, w[i : i + 2]))
-        else:
-            for i in range(n - 1):
-                if not adj[int(w[i])][int(w[i + 1])]:
-                    cands.append(Violation("graph", i, i + 2, w[i : i + 2]))
-                    break
+        letters = range(c.alphabet_size)
+        found = [w.find(f"{a}{b}") for a in letters for b in letters if not adj[a][b]]
+        i = min((i for i in found if i >= 0), default=None)
+        if i is not None:
+            cands.append(Violation("graph", i, i + 2, w[i : i + 2]))
 
     want_sq = (
         c.sq_min_period is not None or c.allowed_squares is not None or c.max_square_count is not None

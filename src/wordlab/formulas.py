@@ -10,9 +10,12 @@ enumerates candidate images from period runs of the word instead of blindly
 iterating image lengths; fragments with no usable structure fall back to
 position-anchored backtracking.
 
-The engine reads k-power periods and roots through one index with two
-producers: ``WordPowers`` scans a whole word lazily (the batch path), and
-``PowerStack`` is kept up to date by the search, one letter at a time.
+Each structure needs the runs of w[i] == w[i+p] at least m(p) = a p + b
+long, for one (a, b), and the engine reads them, with the k-power periods
+and roots they give, through one index with two producers: ``WordPowers``
+makes one ``repetitions.long_runs`` pass over a whole word per (a, b) (the
+batch path), and ``PowerStack`` is kept up to date by the search, one
+letter at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, ParseError, ResourceBudgetError
-from .repetitions import SuffixRuns, period_runs
+from .repetitions import SuffixRuns, long_runs
 
 # Larger patterns blow up combinatorially; use find_sq_t or a localizer
 # reduction instead of SQ_7+ as a literal pattern.
@@ -162,54 +165,48 @@ def anchored_power_exponents(f: Formula, first_only: bool) -> frozenset[int]:
 
 
 class WordPowers:
-    """k-power periods and roots of one whole word, computed lazily from period runs.
+    """k-power periods and roots of one whole word, and the period runs behind them.
 
-    This is the batch producer of the power index that ``_Engine`` reads; the
-    search keeps the same three queries up to date letter by letter in
-    ``PowerStack``.
+    Every run the engine reads is a maximal run of w[i] == w[i+p] at least
+    m(p) = a p + b long: (k - 1) g for the k-powers of period g, P for the
+    doubled blocks uu with |u| = P, (q - 1) G + r for the periodic blocks of
+    q G + r letters. Each (a, b) is one ``long_runs`` pass over the word,
+    made when first asked for and kept indexed by period. This is the batch
+    producer of the power index that ``_Engine`` reads; the search keeps the
+    same three queries up to date letter by letter in ``PowerStack``.
     """
 
     def __init__(self, w: bytes):
         self.w = w
         self.n = len(w)
-        self._runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._runs: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
         self._roots: dict[int, frozenset[bytes]] = {}
-        self._periods: dict[int, frozenset[int]] = {}
-        self._arr = None
 
-    def runs(self, p: int, min_len: int = 1) -> list[tuple[int, int]]:
-        key = (p, min_len)
-        runs = self._runs.get(key)
-        if runs is None:
-            if self._arr is None and self.n >= 96:
-                import numpy as np
+    def runs(self, a: int, b: int) -> dict[int, list[tuple[int, int]]]:
+        """Period p -> maximal runs (start, length >= a p + b), both ascending."""
+        index = self._runs.get((a, b))
+        if index is None:
+            index = {}
+            for p, s, run in long_runs(self.w.decode("ascii"), range(1, self.n), lambda p: a * p + b):
+                index.setdefault(p, []).append((s, run))
+            self._runs[(a, b)] = index
+        return index
 
-                self._arr = np.frombuffer(self.w, dtype=np.uint8)
-            runs = period_runs(self.w.decode("ascii"), p, self._arr, min_len)
-            self._runs[key] = runs
-        return runs
-
-    def periods(self, k: int) -> frozenset[int]:
+    def periods(self, k: int):
         """Periods g for which some k-power of period g occurs in w."""
-        periods = self._periods.get(k)
-        if periods is None:
-            periods = frozenset(g for g in range(1, self.n // k + 1) if self.runs(g, (k - 1) * g))
-            self._periods[k] = periods
-        return periods
+        return self.runs(k - 1, 0).keys()
 
     def roots(self, k: int) -> frozenset[bytes]:
         """All x such that x^k is a factor of w."""
         roots = self._roots.get(k)
         if roots is None:
-            roots = frozenset(
-                x for g in range(1, self.n // k + 1) for x in self.roots_of_period(k, g)
-            )
+            roots = frozenset(x for g in self.periods(k) for x in self.roots_of_period(k, g))
             self._roots[k] = roots
         return roots
 
     def roots_of_period(self, k: int, g: int):
         """Roots x of length g with x^k a factor, by run and position; may repeat."""
-        for s, run in self.runs(g, (k - 1) * g):
+        for s, run in self.runs(k - 1, 0).get(g, ()):
             span = run - (k - 1) * g
             for i in range(s, s + min(g, span + 1)):
                 yield self.w[i : i + g]
@@ -310,8 +307,8 @@ class _Engine:
             return self._power_index[k]
         index: dict[int, list[int]] = {}
         pairs = 0
-        for g in range(1, self.n // k + 1):
-            for s, run in self.word.runs(g, (k - 1) * g):
+        for g, runs in self.word.runs(k - 1, 0).items():
+            for s, run in runs:
                 span = run - (k - 1) * g
                 pairs += span + 1
                 if pairs > _POWER_INDEX_MAX:
@@ -489,9 +486,10 @@ class _Engine:
         lensets = [self.lengths(v) for v in block]
         g_hi = min(sum(caps), (self.n - r) // q if r else self.n // q)
         seen: set[tuple[bytes, ...]] = set()
+        runs = self.word.runs(q - 1, r)
         for G in range(d, g_hi + 1):
             L_min = q * G + r
-            for s, run in self.word.runs(G, max(L_min - G, 1)):
+            for s, run in runs.get(G, ()):
                 count = run + G - L_min + 1  # valid start positions from s
                 avail_base = s + run + G
                 for i in range(s, s + min(G, count)):
@@ -516,8 +514,9 @@ class _Engine:
 
     def _vsquare_matches(self, frag: _Frag, assign):
         half = frag.occs[: len(frag.occs) // 2]
+        runs = self.word.runs(1, 0)
         for P in range(len(half), self.n // 2 + 1):
-            for s, run in self.word.runs(P, P):
+            for s, run in runs.get(P, ()):
                 for i in range(s, s + min(P, run - P + 1)):
                     yield from self._match_exact(half, 0, i, i + P, assign)
 

@@ -3,13 +3,15 @@
 A repetition is a factor r with w[i] == w[i+p] throughout, p its period and
 len(r)/p its exponent (an exact rational).
 
-Squares, overlaps and exponent caps all ask for the maximal runs of
-w[i] == w[i+p] that are at least some m(p) long. ``long_runs`` finds them
-for all periods in one pass: it tests only the (n - p) / m(p) positions
-that are multiples of m(p), not all n - p, and extends each match with
-exact longest-common-extension queries. ``period_runs`` (one period) and
-``longest_period_run`` (which ``max_exponent`` needs for m = 1, where
-sampling saves nothing) stay passes over the word per period.
+Every question about a whole word's repetitions asks for the maximal runs of
+w[i] == w[i+p] that are at least some m(p) long: m(p) = p for squares,
+p + 1 for overlaps, need(p) - p for exponent caps, (k - 1) p for the
+k-powers the formula engine reads. ``long_runs`` finds them for all periods
+in one pass: it tests only the (n - p) / m(p) positions that are multiples
+of m(p), not all n - p, and extends each match with exact
+longest-common-extension queries. ``max_exponent`` makes two such passes,
+the first over a few small periods for a lower bound e on the exponent, the
+second for every run that reaches e.
 
 Words shorter than ``_NUMPY_MIN`` letters, where per-call overhead is the
 cost, take a packed path in ``distinct_squares``, ``distinct_min_overlaps``
@@ -61,78 +63,6 @@ def format_exponent(e: Fraction) -> str:
 
 def _as_array(w: str) -> np.ndarray:
     return np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-
-
-def _run_bounds(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = mask.view(np.int8)
-    d = np.diff(m)
-    starts = np.flatnonzero(d == 1) + 1
-    ends = np.flatnonzero(d == -1) + 1
-    if m[0]:
-        starts = np.concatenate(([0], starts))
-    if m[-1]:
-        ends = np.concatenate((ends, [m.size]))
-    return starts, ends
-
-
-def _true_runs(mask: np.ndarray, min_len: int = 1) -> list[tuple[int, int]]:
-    """Maximal runs of True of length >= min_len, as (start, length)."""
-    if mask.size == 0 or not mask.any():
-        return []
-    starts, ends = _run_bounds(mask)
-    lengths = ends - starts
-    if min_len > 1:
-        keep = lengths >= min_len
-        starts, lengths = starts[keep], lengths[keep]
-    return list(zip(starts.tolist(), lengths.tolist()))
-
-
-def period_runs(
-    w: str, p: int, arr: np.ndarray | None = None, min_len: int = 1
-) -> list[tuple[int, int]]:
-    """Maximal runs (start, length >= min_len) of positions i with w[i] == w[i+p].
-
-    A run of length r starting at s means w[s : s+p+r] has period p.
-    """
-    n = len(w)
-    min_len = max(min_len, 1)
-    if p < 1 or p >= n:
-        return []
-    if n < _NUMPY_MIN and arr is None:
-        runs = []
-        start = None
-        for i in range(n - p):
-            if w[i] == w[i + p]:
-                if start is None:
-                    start = i
-            elif start is not None:
-                if i - start >= min_len:
-                    runs.append((start, i - start))
-                start = None
-        if start is not None and n - p - start >= min_len:
-            runs.append((start, n - p - start))
-        return runs
-    if arr is None:
-        arr = _as_array(w)
-    return _true_runs(arr[p:] == arr[: n - p], min_len)
-
-
-def longest_period_run(
-    w: str, p: int, arr: np.ndarray | None = None
-) -> tuple[int, int] | None:
-    """Earliest longest run for one period, or None if w[i] != w[i+p] throughout."""
-    n = len(w)
-    if p < 1 or p >= n:
-        return None
-    if arr is None:
-        arr = _as_array(w)
-    mask = arr[p:] == arr[: n - p]
-    if not mask.any():
-        return None
-    starts, ends = _run_bounds(mask)
-    lengths = ends - starts
-    i = int(np.argmax(lengths))
-    return int(starts[i]), int(lengths[i])
 
 
 def _rank_table(w: str) -> np.ndarray:
@@ -223,9 +153,8 @@ def long_runs(
 ) -> Iterator[tuple[int, int, int]]:
     """Each maximal run (p, start, length) of w[i] == w[i+p] with length >= min_len(p).
 
-    For each p in ``periods`` the runs are exactly ``period_runs(w, p,
-    min_len=min_len(p))``, in (p, start) order. A run at least m long holds
-    a position that is a multiple of m, so only those positions are tested.
+    The runs come in (p, start) order. A run at least m long holds a
+    position that is a multiple of m, so only those positions are tested.
     Each one whose letters agree is extended both ways, and each run is
     reported once, from the first such sample in it. Words shorter than
     ``_NUMPY_MIN`` extend the samples letter by letter, longer ones by
@@ -359,22 +288,30 @@ def max_exponent(w: str) -> tuple[Fraction, Repetition]:
         raise DomainError("max_exponent needs a word of length >= 2")
     if n < _NUMPY_MIN:
         return _short_max_exponent(w)
-    arr = _as_array(w)
-    num, den = 1, 1  # best exponent as a raw ratio, compared by cross-multiplication
-    witness = Repetition(0, 1, 1)
-    for p in range(1, n):
-        if n * den < num * p:  # no factor of period >= p reaches the best exponent
-            break
-        top = longest_period_run(w, p, arr)
-        if top is None:
-            continue
-        at, run = top
+    # any 11 letters over at most 10 hold a run of period <= 10, so the
+    # bound is at least 11/10 and the second pass samples about 10 n ln n
+    # positions; a run of period p reaches lo_num / lo_den when it is at
+    # least (lo_num - lo_den) p / lo_den long
+    lo_num, lo_den, _ = _best_run(long_runs(w, range(1, 11), lambda p: 1))
+    runs = long_runs(w, range(1, n), lambda p: -((lo_den - lo_num) * p // lo_den))
+    num, p, at = _best_run(runs)
+    return Fraction(num, p), Repetition(at, p, num)
+
+
+def _best_run(runs: Iterator[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """(p + length, p, start) of the run of highest exponent (p + length) / p.
+
+    Exponents are compared by cross-multiplication. Ties pick the smallest
+    start, then the smallest period; with no run it is the exponent 1/1 of
+    the first letter.
+    """
+    num, den, at = 1, 1, 0
+    for p, s, run in runs:
         lhs = (p + run) * den
         rhs = num * p
-        if lhs > rhs or (lhs == rhs and (at, p) < (witness.start, witness.period)):
-            num, den = p + run, p
-            witness = Repetition(at, p, p + run)
-    return Fraction(num, den), witness
+        if lhs > rhs or (lhs == rhs and (s, p) < (at, den)):
+            num, den, at = p + run, p, s
+    return num, den, at
 
 
 def _short_max_exponent(w: str) -> tuple[Fraction, Repetition]:

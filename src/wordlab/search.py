@@ -133,14 +133,14 @@ class BranchChecker:
         n = self.n + 1
         self.n = n
 
-        if self.adj is not None and n >= 2:
-            if not self.adj[buf[n - 2] - 48][buf[n - 1] - 48]:
-                self.n = n - 1
-                return "graph"
         for l in self.factor_lens:
             if l <= n and bytes(buf[n - l : n]) in self.factor_sets[l]:
                 self.n = n - 1
                 return "factor"
+        if self.adj is not None and n >= 2:
+            if not self.adj[buf[n - 2] - 48][buf[n - 1] - 48]:
+                self.n = n - 1
+                return "graph"
 
         runs = self.runs
         if runs is not None:

@@ -46,7 +46,7 @@ def naive_max_exponent(w):
     """(exponent, start, period) maximizing length/period by letter extension."""
     b = w.encode()
     n = len(b)
-    best = (Fraction(1), 0, 1)
+    num, den, start = 1, 1, 0  # best exponent num / den, compared by cross-multiplication
     for p in range(1, n):
         for i in range(n - p):
             if b[i] != b[i + p]:
@@ -54,10 +54,10 @@ def naive_max_exponent(w):
             k = 1
             while i + p + k < n and b[i + k] == b[i + p + k]:
                 k += 1
-            exp = Fraction(p + k, p)
-            if exp > best[0] or (exp == best[0] and (i, p) < (best[1], best[2])):
-                best = (exp, i, p)
-    return best
+            lhs, rhs = (p + k) * den, num * p
+            if lhs > rhs or (lhs == rhs and (i, p) < (start, den)):
+                num, den, start = p + k, p, i
+    return Fraction(num, den), start, den
 
 
 def naive_has_exponent(w, e, strict):

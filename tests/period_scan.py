@@ -2,8 +2,9 @@
 
 This is the implementation ``repetitions.long_runs`` replaced: one equality
 mask w[i] == w[i+p] per period, cut into maximal runs, with the squares,
-overlaps, exponent caps and the repetition sections of ``check`` read off
-each period in turn. It shares no code with the library's scanners, so the
+overlaps, maximum exponents, exponent caps, the k-power roots of the
+formula engine and the repetition sections of ``check`` read off each
+period in turn. It shares no code with the library's scanners, so the
 differential tests compare two independent computations of the same runs.
 
 ``PeriodScanChecker`` is likewise the search checker that
@@ -12,6 +13,7 @@ with itself once per period.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -85,6 +87,30 @@ def scan_is_exponent_free(w, e, strict):
             if best is None or (s, p) < best[:2]:
                 best = (s, p, need)
     return best
+
+
+def scan_max_exponent(w):
+    """(exponent, start, period) of ``max_exponent``: each period's earliest
+    longest run, then the highest exponent, smallest start, smallest period."""
+    best = (Fraction(1), 0, 1)
+    for p in range(1, len(w)):
+        runs = scan_period_runs(w, p)
+        if runs:
+            s, run = max(runs, key=lambda r: (r[1], -r[0]))
+            e = Fraction(p + run, p)
+            if (-e, s, p) < (-best[0], best[1], best[2]):
+                best = (e, s, p)
+    return best
+
+
+def scan_power_roots(w, k, g):
+    """Roots x of length g with x^k a factor of w, by run and position, as
+    ``WordPowers.roots_of_period`` yields them."""
+    return [
+        w[i : i + g]
+        for s, run in scan_period_runs(w, g, (k - 1) * g)
+        for i in range(s, s + min(g, run - (k - 1) * g + 1))
+    ]
 
 
 def _repetition_violations(w, c):
@@ -215,10 +241,10 @@ class PeriodScanChecker:
         c, buf = self.c, self.buf
         buf[self.n] = 48 + letter
         self.n = n = self.n + 1
-        if self.adj is not None and n >= 2 and not self.adj[buf[n - 2] - 48][buf[n - 1] - 48]:
-            return "graph", None
         if any(bytes(buf[n - len(f) : n]) == f for f in self.factors if len(f) <= n):
             return "factor", None
+        if self.adj is not None and n >= 2 and not self.adj[buf[n - 2] - 48][buf[n - 1] - 48]:
+            return "graph", None
 
         new_sq = []
         squares = (c.sq_min_period, c.allowed_squares, c.max_square_count)

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import mutated_periodic
 from oracles import naive_occurrences
+from period_scan import scan_power_roots
 from wordlab.errors import DomainError, ParseError
 from wordlab.formulas import (
     Formula,
@@ -136,6 +138,24 @@ def test_power_stack_matches_whole_word_powers(ops):
             assert stack.roots(k) == word.roots(k)
             for g in range(1, stack.n // k + 1):
                 assert list(stack.roots_of_period(k, g)) == list(dict.fromkeys(word.roots_of_period(k, g)))
+
+
+@settings(max_examples=25)
+@given(
+    st.one_of(
+        st.text(alphabet="01", min_size=96, max_size=400),
+        st.text(alphabet="012", min_size=96, max_size=400),
+        mutated_periodic(96, 400),
+    )
+)
+def test_word_powers_match_period_scan(w):
+    word = WordPowers(w.encode())
+    for k in (2, 3, 4):
+        by_period = {g: scan_power_roots(w, k, g) for g in range(1, len(w) // k + 1)}
+        assert set(word.periods(k)) == {g for g, roots in by_period.items() if roots}
+        assert word.roots(k) == {x.encode() for roots in by_period.values() for x in roots}
+        for g, roots in by_period.items():
+            assert [x.decode() for x in word.roots_of_period(k, g)] == roots
 
 
 def test_anchored_search_rejects_a_power_stack_of_another_length():

@@ -23,6 +23,7 @@ from period_scan import (
     scan_distinct_squares,
     scan_find_sq_t,
     scan_is_exponent_free,
+    scan_max_exponent,
 )
 from wordlab.characterize import load_manifest
 from wordlab.constraints import check
@@ -32,6 +33,7 @@ from wordlab.repetitions import (
     distinct_squares,
     find_sq_t,
     is_exponent_free,
+    max_exponent,
 )
 
 MANIFESTS = sorted(
@@ -61,6 +63,8 @@ def test_manifest_prefix_matches_period_scan(name):
         assert (None if got is None else (got.start, got.period)) == scan_find_sq_t(w, t)
     for e, strict in CAPS:
         assert as_tuple(is_exponent_free(w, e, strict)) == scan_is_exponent_free(w, e, strict)
+    exp, wit = max_exponent(w)
+    assert (exp, wit.start, wit.period) == scan_max_exponent(w)
     assert check(w, m.constraints) == scan_check(w, m.constraints)
 
 

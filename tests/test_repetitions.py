@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import mutated_periodic
 from oracles import (
     naive_distinct_min_overlaps,
     naive_distinct_squares,
     naive_find_sq_t,
     naive_max_exponent,
 )
-from period_scan import scan_check, scan_runs, violation_length
+from period_scan import scan_check, scan_max_exponent, scan_runs, violation_length
 from wordlab.constraints import check, parse_constraints
 from wordlab.errors import DomainError
+from wordlab.morphisms import fixed_point_prefix, parse_morphism
 from wordlab.repetitions import (
     Repetition,
     SuffixRuns,
@@ -158,18 +160,6 @@ def test_is_exponent_free_matches_max_exponent(w, e):
             assert (wit.exponent > e) if strict else (wit.exponent >= e)
 
 
-@st.composite
-def mutated_periodic(draw, min_size=96, max_size=700):
-    """A random base of 1-9 letters repeated, then 0-4 point changes."""
-    alphabet = draw(st.sampled_from(["01", "012"]))
-    base = draw(st.text(alphabet=alphabet, min_size=1, max_size=9))
-    n = draw(st.integers(min_size, max_size))
-    w = list((base * (n // len(base) + 1))[:n])
-    for _ in range(draw(st.integers(0, 4))):
-        w[draw(st.integers(0, n - 1))] = draw(st.sampled_from(alphabet))
-    return "".join(w)
-
-
 # 96-700 letters reaches the vectorised path; 90-101 straddles its threshold.
 long_words = st.one_of(
     st.text(alphabet="01", min_size=2, max_size=95),
@@ -200,6 +190,19 @@ MIN_LENS = {
 def test_long_runs_match_period_scan(min_len, w):
     periods = range(1, len(w))
     assert list(long_runs(w, periods, min_len)) == scan_runs(w, periods, min_len)
+
+
+THUE = fixed_point_prefix(parse_morphism("012/02/1"), 120)
+
+
+@settings(max_examples=50)
+@given(long_words)
+# squares of period 3 at 2 and of period 1 at 4, both of the highest exponent 2
+@example(THUE[:5] + THUE[2:60] + THUE[59:])
+def test_max_exponent_matches_period_scan(w):
+    exp, wit = max_exponent(w)
+    assert (exp, wit.start, wit.period) == scan_max_exponent(w)
+    assert wit.length == exp * wit.period
 
 
 @pytest.mark.parametrize("n", [65535, 70000])

@@ -168,6 +168,9 @@ DIFFERENTIAL_SETS = [
     for e in (Fraction(5, 3), Fraction(7, 4), Fraction(2), Fraction(5, 2), Fraction(3))
     for strict in (True, False)
 ] + [
+    # a non-edge that is also a forbidden factor: the factor wins, as in check
+    pytest.param(parse_constraints("alphabet 3\ngraph K3\nforbid-factor 00\n"), id="K3-factor-00"),
+] + [
     pytest.param(load_constraints(path), id=os.path.basename(path))
     for path in sorted(glob.glob(os.path.join(MANIFEST_DIR, "*.cons")))
 ]
