@@ -8,7 +8,13 @@ The search classifies each fragment by its repetition structure (variable
 powers, periodic blocks such as ABAB or ABABA, doubled blocks uu) and
 enumerates candidate images from period runs of the word instead of blindly
 iterating image lengths; fragments with no usable structure fall back to
-position-anchored backtracking.
+position-anchored backtracking. That backtracking still reads structure
+inside the fragment: a variable that opens an adjacent run (the AAA of
+AAABABAA) takes its lengths from the k-powers starting at its position, and
+one that opens a doubled block whose other variables are known (the BA.BA
+of AAABABAA, once A is) from the squares starting there, so each costs the
+few primitively rooted powers at one position rather than a sweep of the
+word.
 
 Each structure needs the runs of w[i] == w[i+p] at least m(p) = a p + b
 long, for one (a, b), and the engine reads them, with the k-power periods
@@ -100,6 +106,18 @@ class _Frag:
     q: int = 0  # periodic: full block repeats
     r: int = 0  # periodic: leftover occurrences
     runlen: tuple[int, ...] = ()  # adjacent same-variable run length at each occurrence
+    # sizes b >= 2, ascending, of the doubled blocks occs[j:j+b] == occs[j+b:j+2b]
+    # starting at each occurrence j in which occs[j] occurs once
+    doubled: tuple[tuple[int, ...], ...] = ()
+
+
+def _doubled_blocks(occs: tuple[int, ...], j: int) -> tuple[int, ...]:
+    m = len(occs)
+    return tuple(
+        b
+        for b in range(2, (m - j) // 2 + 1)
+        if occs[j : j + b] == occs[j + b : j + 2 * b] and occs[j] not in occs[j + 1 : j + b]
+    )
 
 
 def _classify(occs: tuple[int, ...]) -> _Frag:
@@ -110,16 +128,16 @@ def _classify(occs: tuple[int, ...]) -> _Frag:
     for j in range(m - 2, -1, -1):
         if occs[j] == occs[j + 1]:
             runlen[j] = runlen[j + 1] + 1
-    runs = tuple(runlen)
+    shape = {"runlen": tuple(runlen), "doubled": tuple(_doubled_blocks(occs, j) for j in range(m))}
     if d == m:
-        return _Frag(occs, vars_, "distinct", runlen=runs)
+        return _Frag(occs, vars_, "distinct", **shape)
     if d == 1:
-        return _Frag(occs, vars_, "power", d=1, q=m, r=0, runlen=runs)
+        return _Frag(occs, vars_, "power", d=1, q=m, r=0, **shape)
     if len(set(occs[:d])) == d and all(occs[i] == occs[i % d] for i in range(m)):
-        return _Frag(occs, vars_, "periodic", d=d, q=m // d, r=m % d, runlen=runs)
+        return _Frag(occs, vars_, "periodic", d=d, q=m // d, r=m % d, **shape)
     if m % 2 == 0 and occs[: m // 2] == occs[m // 2 :]:
-        return _Frag(occs, vars_, "vsquare", runlen=runs)
-    return _Frag(occs, vars_, "generic", runlen=runs)
+        return _Frag(occs, vars_, "vsquare", **shape)
+    return _Frag(occs, vars_, "generic", **shape)
 
 
 @lru_cache(maxsize=512)
@@ -362,7 +380,17 @@ class _Engine:
         return sum(1 if assign[v] is None else len(assign[v]) for v in occs[j:])
 
     def _match_at(self, frag: _Frag, j: int, pos: int, assign):
-        """Match occurrences j.. of the fragment starting at pos; yields assigns."""
+        """Match occurrences j.. of the fragment starting at pos; yields assigns.
+
+        An unassigned variable's image length comes, in order of preference,
+        from the k-powers starting at pos when it opens an adjacent k-run;
+        from the squares starting at pos when it opens a doubled block
+        (``_Frag.doubled``) whose other variables are all assigned, since the
+        block's image is then a square of period |v| + (their lengths); from
+        the later occurrences of the next image when that one is known; and
+        otherwise from every allowed length. The first two read the position
+        index ``_powers(k)``, and fall back to the last two when it is too big.
+        """
         self._step()
         occs = frag.occs
         if j == len(occs):
@@ -391,6 +419,25 @@ class _Engine:
                     assign2[v] = w[pos : pos + g]
                     yield from self._match_at(frag, j + k, pos + k * g, assign2)
                 return
+        for b in frag.doubled[j]:
+            others = occs[j + 1 : j + b]
+            if any(assign[u] is None for u in others):
+                continue
+            index = self._powers(2)
+            if index is None:
+                break
+            known = sum(len(assign[u]) for u in others)
+            allowed = self.lengths(v)
+            for G in index.get(pos, ()):
+                L = G - known
+                if L > maxlen:
+                    break
+                self._step()
+                if L >= 1 and (allowed is None or L in allowed):
+                    assign2 = list(assign)
+                    assign2[v] = w[pos : pos + L]
+                    yield from self._match_at(frag, j + 1, pos + L, assign2)
+            return
         if k == 1 and j + 1 < len(occs) and assign[occs[j + 1]] is not None:
             # jump straight to the occurrences of the known following image
             nxt = assign[occs[j + 1]]

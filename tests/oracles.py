@@ -66,10 +66,17 @@ def naive_has_exponent(w, e, strict):
 
 
 def naive_occurrences(w, formula_fragments, nvars, cap):
-    """All assignments (image tuples) by product over candidate factors."""
-    cands = sorted({w[i : i + l] for l in range(1, cap + 1) for i in range(len(w) - l + 1)})
+    """All assignments (image tuples) by product over candidate factors.
+
+    ``cap`` bounds the length of every image, or, as a sequence, of each
+    variable's image in turn.
+    """
+    caps = [cap] * nvars if isinstance(cap, int) else cap
+    factors = {}
+    for c in set(caps):
+        factors[c] = sorted({w[i : i + l] for l in range(1, c + 1) for i in range(len(w) - l + 1)})
     out = set()
-    for images in product(cands, repeat=nvars):
+    for images in product(*(factors[c] for c in caps)):
         ok = True
         for frag in formula_fragments:
             img = "".join(images[ord(ch) - ord("A")] for ch in frag)
@@ -79,6 +86,17 @@ def naive_occurrences(w, formula_fragments, nvars, cap):
         if ok:
             out.add(images)
     return out
+
+
+def naive_has_occurrence(w, formula_fragments, nvars):
+    """Whether w holds an occurrence, by ``naive_occurrences`` with each image
+    capped at the longest that keeps every fragment image within |w| letters."""
+    caps = [len(w)] * nvars
+    for frag in formula_fragments:
+        for ch in set(frag):
+            v, cnt = ord(ch) - ord("A"), frag.count(ch)
+            caps[v] = min(caps[v], (len(w) - (len(frag) - cnt)) // cnt)
+    return bool(naive_occurrences(w, formula_fragments, nvars, caps))
 
 
 def naive_code_membership(v, pieces, slack=2):

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wordlab.constraints import ConstraintSet, check, parse_constraints
+from oracles import naive_has_occurrence
+from wordlab.constraints import ConstraintSet, check, load_constraints, parse_constraints
 from wordlab.errors import AlphabetError, DomainError, ParseError
 from wordlab.formulas import parse_formula
 from wordlab.graphs import builtin_graph
+from wordlab.morphisms import fixed_point_prefix, parse_morphism
 from wordlab.search import BranchChecker
 
 FOUR_SQUARES = parse_constraints(
@@ -155,3 +157,28 @@ def test_check_is_prefix_monotone(c, w):
         for i in range(len(w)):
             for j in range(i, len(w) + 1):
                 assert check(w[i:j], c) is None
+
+
+binary_nonempty = st.text(alphabet="01", min_size=1, max_size=2)
+
+
+@given(
+    st.sampled_from(["AAABABAA", "AABAB"]),
+    st.text(alphabet="01", max_size=5),
+    binary_nonempty,
+    binary_nonempty,
+    st.text(alphabet="01", max_size=5),
+)
+def test_formula_violation_ends_at_the_first_occurrence(pattern, x, a, b, y):
+    """check's formula witness ends where the shortest prefix with an occurrence does."""
+    f = parse_formula(pattern)
+    w = x + "".join({"A": a, "B": b}[ch] for ch in pattern) + y
+    v = check(w, parse_constraints(f"alphabet 2\nforbid-formula {pattern}\n"))
+    first = next(n for n in range(1, len(w) + 1) if naive_has_occurrence(w[:n], f.fragments, 2))
+    assert (v.kind, v.end) == ("formula", first), (w, pattern)
+
+
+def test_pd_currie_prefix_passes_check(manifest_dir):
+    """The 10 000-letter period-doubling prefix avoids pd-currie's constraints."""
+    c = load_constraints(f"{manifest_dir}/pd-currie.cons")
+    assert check(fixed_point_prefix(parse_morphism("01/00"), 10_000), c) is None

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mutated_periodic
-from oracles import naive_occurrences
+from oracles import naive_has_occurrence, naive_occurrences
 from period_scan import scan_power_roots
+from wordlab import formulas
 from wordlab.errors import DomainError, ParseError
 from wordlab.formulas import (
     Formula,
@@ -12,16 +13,27 @@ from wordlab.formulas import (
     avoids,
     find_occurrences,
     format_assignment,
+    has_occurrence,
     is_doubled,
     new_assignments,
     new_occurrence_exists,
     parse_formula,
 )
+from wordlab.morphisms import fixed_point_prefix, parse_morphism
 from wordlab.repetitions import SuffixRuns, distinct_squares
 
 binary = st.text(alphabet="01", max_size=40)
 
 FORMULAS = [parse_formula(t) for t in ("AA", "ABA", "ABBA", "AA.BB", "ABAB", "AA.ABAB.BB")]
+# generic fragments with doubled blocks; from AAABABAA on, the search meets
+# one (BA.BA, BA.BA, CA.CA, CAB.CAB, BAA.BAA) with its other variables known
+DOUBLED_BLOCK_FORMULAS = [
+    parse_formula(t)
+    for t in (
+        "AABAB", "ABCBC", "ABACABAC", "AB.BABAC",
+        "AAABABAA", "AABABA", "AA.BCACA", "AB.ACABCAB", "AA.BAABAAC",
+    )
+]
 
 
 def test_parse_formula():
@@ -79,6 +91,36 @@ def test_occurrences_match_oracle_exhaustive_formulas(w, cap):
         got = find_occurrences(w, f, cap)
         want = naive_occurrences(w, f.fragments, f.variable_count, cap)
         assert got == want, (w, str(f), cap)
+
+
+@given(
+    st.one_of(st.text(alphabet="01", max_size=10), st.text(alphabet="012", max_size=8)),
+    st.integers(1, 3),
+)
+def test_doubled_block_occurrences_match_oracle(w, cap):
+    for f in DOUBLED_BLOCK_FORMULAS:
+        got = find_occurrences(w, f, cap)
+        assert got == naive_occurrences(w, f.fragments, f.variable_count, cap), (w, str(f), cap)
+        want = naive_has_occurrence(w, f.fragments, f.variable_count)
+        assert has_occurrence(w, f) == want, (w, str(f))
+
+
+@given(st.text(alphabet="01", max_size=60), st.integers(1, 60))
+def test_doubled_block_search_without_the_square_index(w, cap):
+    """With the position index refused, the matcher's sweeps give the same answers."""
+    want = [(find_occurrences(w, f, cap), has_occurrence(w, f)) for f in DOUBLED_BLOCK_FORMULAS]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formulas, "_POWER_INDEX_MAX", 0)
+        got = [(find_occurrences(w, f, cap), has_occurrence(w, f)) for f in DOUBLED_BLOCK_FORMULAS]
+    assert got == want
+
+
+def test_doubled_block_search_is_near_linear():
+    """AAABABAA on the period-doubling word: B's lengths come from the squares
+    at its position (about 94 000 steps); the budget sits far below the 6.2 M
+    steps of trying B at every later occurrence of A."""
+    w = fixed_point_prefix(parse_morphism("01/00"), 5000)
+    assert not has_occurrence(w, parse_formula("AAABABAA"), step_budget=500_000)
 
 
 @given(st.text(alphabet="012", min_size=0, max_size=60))
