@@ -155,21 +155,30 @@ def _adjacent_runs(frag: _Frag):
         j += k
 
 
-def _solved_by_suffix_check(frags: tuple[_Frag, ...], first_only: bool) -> bool:
-    return first_only and len(frags) == 1 and frags[0].kind in ("power", "periodic")
+def repetition_shape(f: Formula) -> tuple[int, int, int] | None:
+    """(d, q, r) if f is one fragment (x_1...x_d)^q x_1...x_r of distinct variables.
 
-
-def anchored_power_exponents(f: Formula, first_only: bool) -> frozenset[int]:
-    """Exponents k whose k-power periods or roots the anchored search for f reads.
-
-    A ``PowerStack`` handed to ``new_occurrence_exists`` (first_only) or
-    ``new_assignments`` must track at least these.
+    These are the powers AA, AAA, ... (d = 1) and the periodic blocks ABA,
+    ABAB, ABABA, ABCABC, ...; any other formula gives None. An occurrence of
+    one ends at the last letter of a word exactly when r_p >= (q - 1) p + r
+    for some period p >= d, r_p being the suffix-run counter of
+    ``SuffixRuns``: the minimal split of such a suffix gives x_1...x_r one
+    letter each, so every image is non-empty and fits in the word.
     """
     frags = _compiled(f)
-    if _solved_by_suffix_check(frags, first_only):
-        return frozenset()
+    if len(frags) != 1 or frags[0].kind not in ("power", "periodic"):
+        return None
+    return frags[0].d, frags[0].q, frags[0].r
+
+
+def anchored_power_exponents(f: Formula) -> frozenset[int]:
+    """Exponents k whose k-power periods or roots the anchored search for f reads.
+
+    A ``PowerStack`` handed to ``new_occurrence_exists`` or
+    ``new_assignments`` must track at least these.
+    """
     ks = set()
-    for frag in frags:
+    for frag in _compiled(f):
         ks.update(k for _, k in _adjacent_runs(frag))  # a power fragment is one such run
         if frag.kind == "vsquare":
             ks.add(2)
@@ -642,36 +651,12 @@ class _Engine:
         for fi, frag in enumerate(self.frags):
             rest = [x for x in range(len(self.frags)) if x != fi]
             empty = [None] * self.nvars
-            if _solved_by_suffix_check(self.frags, first_only):
-                if self._suffix_special(frag):
-                    return True
-                continue
             for assign in self._anchored(frag, len(frag.occs) - 1, self.n, empty):
                 if self.solve(rest, assign, first_only):
                     found = True
                     if first_only:
                         return True
         return found
-
-    def _suffix_special(self, frag: _Frag) -> bool:
-        """Existence-only suffix check for power/periodic single fragments."""
-        w, n = self.w, self.n
-        if frag.kind == "power":
-            k = len(frag.occs)
-            for g in range(1, min(self.caps[frag.occs[0]], n // k) + 1):
-                self._step()
-                if w[n - k * g : n - g] == w[n - (k - 1) * g : n]:
-                    return True
-            return False
-        d, q, r = frag.d, frag.q, frag.r
-        caps = [self.caps[v] for v in frag.occs[:d]]
-        g_hi = min(sum(caps), (n - r) // q if r else n // q)
-        for G in range(d, g_hi + 1):
-            self._step()
-            L = q * G + r
-            if L <= n and w[n - L : n - G] == w[n - L + G : n]:
-                return True
-        return False
 
     def decoded_results(self) -> set[tuple[str, ...]]:
         return {tuple(img.decode("ascii") for img in t) for t in self.results}
@@ -720,9 +705,11 @@ def new_occurrence_exists(
     """Occurrence with >= 1 fragment image ending at the last position.
 
     When every proper prefix of ``w`` avoids ``f``, this decides whether ``w``
-    still avoids it; used for incremental checking during search. ``powers``,
+    still avoids it. Every formula takes the same anchored search; the DFS
+    calls it only for formulas that are not repetition shapes, which it
+    decides from ``repetition_shape`` on its suffix-run counters. ``powers``,
     if given, is a ``PowerStack`` over ``w`` tracking
-    ``anchored_power_exponents(f, True)``; it replaces the whole-word scan.
+    ``anchored_power_exponents(f)``; it replaces the whole-word scan.
     """
     _guard_variables(f)
     if len(w) == 0:
@@ -735,8 +722,9 @@ def new_assignments(
 ) -> set[tuple[str, ...]]:
     """All assignments with >= 1 fragment image ending at the last position.
 
-    ``powers`` is as for ``new_occurrence_exists``, tracking
-    ``anchored_power_exponents(f, False)``.
+    The anchored search of ``new_occurrence_exists``, run to the end; the
+    DFS calls it for the ``max-occurrences`` formula, whatever its shape.
+    ``powers`` is as for ``new_occurrence_exists``.
     """
     _guard_variables(f)
     if len(w) == 0:

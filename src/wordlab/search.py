@@ -2,20 +2,22 @@
 
 The DFS appends letters in ascending order and prunes on violations that
 complete at the appended letter. Factor, square, overlap, graph and exponent
-constraints are suffix-local; so are one-variable power formulas (``AA``,
-``AAA``, ...), which are decided by checking for a k-power suffix. Other
-formula and occurrence-budget constraints are re-checked through
-suffix-anchored occurrence search, which is exact because every prefix on the
-current branch already passed.
+constraints are suffix-local; so are the formulas that are repetition shapes
+(x_1...x_d)^q x_1...x_r (``AA``, ``AAA``, ``ABAB``, ``ABABA``, ``ABCABC``,
+...; ``formulas.repetition_shape``), which the word ends in exactly when some
+period p >= d has r_p >= (q - 1) p + r. Other formula and occurrence-budget
+constraints are re-checked through suffix-anchored occurrence search, which
+is exact because every prefix on the current branch already passed.
 
 Every suffix test on repetitions reads one set of counters,
 ``repetitions.SuffixRuns``: for each period p, the length r_p of the run of
 w[i] == w[i-p] that ends the word. The word ends in a square of period p
 when r_p >= p, in an overlap when r_p >= p + 1, in a k-power when
-r_p >= (k - 1) p, and in a violation of an exponent cap when
-r_p >= need(p) - p. The counters are fields of one int, so a push updates
-all of them, and finds every period meeting one threshold, in a fixed number
-of big-int operations of O(depth) size rather than a comparison per period.
+r_p >= (k - 1) p, in a repetition shape as above, and in a violation of an
+exponent cap when r_p >= need(p) - p. The counters are fields of one int, so
+a push updates all of them, and finds every period meeting one threshold, in
+a fixed number of big-int operations of O(depth) size rather than a
+comparison per period.
 A pop restores them from snapshots: one per level for the last 256 levels
 (about 5 MB at depth 10 000, linear in the depth) and one per 256 levels
 below (about 0.4 MB there, quadratic in the depth).
@@ -35,7 +37,13 @@ from dataclasses import dataclass
 
 from .constraints import ConstraintSet, check as full_check
 from .errors import DomainError, InternalError, ResourceBudgetError, WordlabError
-from .formulas import PowerStack, anchored_power_exponents, new_assignments, new_occurrence_exists
+from .formulas import (
+    PowerStack,
+    anchored_power_exponents,
+    new_assignments,
+    new_occurrence_exists,
+    repetition_shape,
+)
 from .repetitions import SuffixRuns, _violation_length
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -49,11 +57,6 @@ class SearchOutcome:
     max_length: int
     witness: str | None
     tree_nodes: int
-
-
-def _is_power(f) -> bool:
-    """A single-fragment formula in one variable: AA, AAA, ..."""
-    return len(f.fragments) == 1 and len(set(f.fragments[0])) == 1
 
 
 class BranchChecker:
@@ -86,19 +89,19 @@ class BranchChecker:
             self.sq_min is not None or self.allowed_squares is not None or self.max_sq is not None
         )
         scan_overlaps = self.allowed_overlaps is not None or self.max_ov is not None
-        # one-variable powers (AA, AAA, ...) are decided by a suffix check, no engine
-        forbidden_powers = {len(f.fragments[0]) for f in c.forbidden_formulas if _is_power(f)}
-        self.formulas = tuple(f for f in c.forbidden_formulas if not _is_power(f))
+        # repetition shapes (AA, ABAB, ABCABC, ...) are decided on the counters, no engine
+        shapes = {repetition_shape(f) for f in c.forbidden_formulas} - {None}
+        self.formulas = tuple(f for f in c.forbidden_formulas if repetition_shape(f) is None)
         self.occ = c.occurrence_budget
-        exponents = {k for f in self.formulas for k in anchored_power_exponents(f, True)}
+        exponents = {k for f in self.formulas for k in anchored_power_exponents(f)}
         if self.occ is not None:
-            exponents |= anchored_power_exponents(self.occ[0], False)
+            exponents |= anchored_power_exponents(self.occ[0])
 
         # each repetition test is one threshold m(p) on the suffix-run counters
         repetitions = scan_squares or scan_overlaps or c.exponent_cap is not None
         self.runs = runs = (
             SuffixRuns(c.alphabet_size, max_length)
-            if repetitions or forbidden_powers or exponents
+            if repetitions or shapes or exponents
             else None
         )
         self._squares = None
@@ -112,9 +115,13 @@ class BranchChecker:
         if c.exponent_cap is not None:
             e, strict = c.exponent_cap
             self._exponent = runs.threshold(lambda p: _violation_length(e, p, strict) - p)
-        self._forbidden_powers = tuple(
-            runs.threshold(lambda p, k=k: (k - 1) * p) for k in forbidden_powers
-        )
+        # one threshold for all shapes: the least (q - 1) p + r over those with p >= d
+        self._shapes = None
+        if shapes:
+            never = max_length + 1
+            self._shapes = runs.threshold(
+                lambda p: min([(q - 1) * p + r for d, q, r in shapes if p >= d], default=never)
+            )
         self.powers = PowerStack(exponents, runs) if exponents else None
         self.seen_squares: set[bytes] = set()
         self.seen_overlaps: set[bytes] = set()
@@ -176,9 +183,8 @@ class BranchChecker:
                             return self._reject("overlap-count")
         if self._exponent is not None and runs.any(self._exponent):
             return self._reject("exponent")
-        for kpowers in self._forbidden_powers:
-            if runs.any(kpowers):
-                return self._reject("formula")
+        if self._shapes is not None and runs.any(self._shapes):
+            return self._reject("formula")
 
         powers = self.powers
         if powers is not None:

@@ -202,8 +202,11 @@ def _is_power(f):
 class PeriodScanChecker:
     """``search.BranchChecker`` with a per-period loop for every repetition test.
 
-    Formulas other than one-variable powers and occurrence budgets run the
-    anchored search on the whole word, with no power stack.
+    One-variable powers are scanned per period like the other repetitions.
+    Every other formula, the periodic shapes ``ABAB``, ``ABABA``, ``ABCABC``,
+    ... that the checker decides on its counters included, and the
+    occurrence budget run the engine's generic anchored search on the whole
+    word, with no power stack.
     """
 
     def __init__(self, c, max_length):

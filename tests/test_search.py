@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import MANIFEST_DIR
-from oracles import all_words
+from oracles import all_words, naive_has_occurrence
 from period_scan import PeriodScanChecker
 from wordlab.constraints import ConstraintSet, check, load_constraints, parse_constraints
 from wordlab.errors import DomainError, ResourceBudgetError
@@ -142,10 +142,18 @@ def test_occurrence_budget_search_is_exact():
     assert out.kind == "exhausted" and out.max_length == 14
 
 
+# repetition shapes (x_1...x_d)^q x_1...x_r besides the powers and ABAB: q = 1
+# (ABA), odd and even lengths, d = 3, and two shapes merged into one threshold
+SHAPE_LINES = ("ABA", "ABABA", "ABABAB", "ABCABC", "ABCAB", "AA ABABA")
+
 DIFFERENTIAL_SETS = [
     pytest.param(ConstraintSet(k, forbidden_formulas=(parse_formula(f),)), id=f"{f}-{k}")
     for k in (2, 3)
     for f in ("AA", "AAA", "AAAA", "ABAB", "AAABABAA", "AA.ABAB.BB")
+] + [
+    pytest.param(parse_constraints(f"alphabet {k}\nforbid-formula {line}\n"), id=f"{line}-{k}")
+    for k in (2, 3)
+    for line in SHAPE_LINES
 ] + [
     pytest.param(ConstraintSet(k, occurrence_budget=(parse_formula("ABBA"), 2)), id=f"ABBA<=2-{k}")
     for k in (2, 3)
@@ -306,6 +314,46 @@ def test_counters_on_both_field_widths(max_length, bits):
             both.pop()
         else:
             both.push(rng.randrange(3))
+        both.probe()
+
+
+@pytest.mark.parametrize("line", ("ABAB",) + SHAPE_LINES)
+def test_repetition_shape_counts_match_oracle(line):
+    """Counts of binary words to 10 letters and ternary ones to 7, by brute force.
+
+    The oracle tries every assignment of factors to the variables. An
+    occurrence in a prefix is one in the word, so every avoiding word is an
+    avoiding word one letter shorter plus a letter.
+    """
+    fs = [parse_formula(t) for t in line.split()]
+    for k, n_max in ((2, 10), (3, 7)):
+        good, brute = [""], []
+        for _ in range(n_max):
+            good = [
+                w + a
+                for w in good
+                for a in "012"[:k]
+                if not any(naive_has_occurrence(w + a, f.fragments, f.variable_count) for f in fs)
+            ]
+            brute.append(len(good))
+        assert count_by_length(ConstraintSet(k, forbidden_formulas=tuple(fs)), n_max) == brute
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("line", ("ABAB",) + SHAPE_LINES)
+def test_repetition_shapes_match_period_scan(line, k):
+    """Random pushes, pops and probes agree with the reference, which decides
+    these formulas by the engine's anchored search instead of the counters."""
+    c = parse_constraints(f"alphabet {k}\nforbid-formula {line}\n")
+    max_length = 40
+    both = _Lockstep(c, max_length)
+    rng = random.Random(f"{line}-{k}")
+    for _ in range(300):
+        n = both.checker.n
+        if n == max_length - 1 or (n and rng.random() < 0.3):
+            both.pop()
+        else:
+            both.push(rng.randrange(k))
         both.probe()
 
 
