@@ -16,6 +16,13 @@ of AAABABAA, once A is) from the squares starting there, so each costs the
 few primitively rooted powers at one position rather than a sweep of the
 word.
 
+A power, a doubled block uu or a periodic block with no remainder has an
+image X^k, X the image of its block (``_Frag.root``), so it is a lookup in
+the k-power roots once its variables are fixed and a join with those roots
+once some are. A formula made only of such fragments is anchored, in
+``new_occurrence_exists`` and ``new_assignments``, on the roots the last
+letter added; any other is anchored on fragment images ending there.
+
 Each structure needs the runs of w[i] == w[i+p] at least m(p) = a p + b
 long, for one (a, b), and the engine reads them, with the k-power periods
 and roots they give, through one index with two producers: ``WordPowers``
@@ -109,6 +116,9 @@ class _Frag:
     # sizes b >= 2, ascending, of the doubled blocks occs[j:j+b] == occs[j+b:j+2b]
     # starting at each occurrence j in which occs[j] occurs once
     doubled: tuple[tuple[int, ...], ...] = ()
+    # (block, k) when every image of the fragment is X^k, X the image of the
+    # block: a power (A), a doubled block uu (u) or an r = 0 periodic block
+    root: tuple[tuple[int, ...], int] | None = None
 
 
 def _doubled_blocks(occs: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -132,11 +142,13 @@ def _classify(occs: tuple[int, ...]) -> _Frag:
     if d == m:
         return _Frag(occs, vars_, "distinct", **shape)
     if d == 1:
-        return _Frag(occs, vars_, "power", d=1, q=m, r=0, **shape)
+        return _Frag(occs, vars_, "power", d=1, q=m, r=0, root=(occs[:1], m), **shape)
     if len(set(occs[:d])) == d and all(occs[i] == occs[i % d] for i in range(m)):
-        return _Frag(occs, vars_, "periodic", d=d, q=m // d, r=m % d, **shape)
+        q, r = divmod(m, d)
+        root = (occs[:d], q) if r == 0 else None
+        return _Frag(occs, vars_, "periodic", d=d, q=q, r=r, root=root, **shape)
     if m % 2 == 0 and occs[: m // 2] == occs[m // 2 :]:
-        return _Frag(occs, vars_, "vsquare", **shape)
+        return _Frag(occs, vars_, "vsquare", root=(occs[: m // 2], 2), **shape)
     return _Frag(occs, vars_, "generic", **shape)
 
 
@@ -171,6 +183,15 @@ def repetition_shape(f: Formula) -> tuple[int, int, int] | None:
     return frags[0].d, frags[0].q, frags[0].r
 
 
+@lru_cache(maxsize=512)
+def _root_exponents(f: Formula) -> frozenset[int] | None:
+    """The fragments' root exponents if every fragment has a root block, else None."""
+    frags = _compiled(f)
+    if any(frag.root is None for frag in frags):
+        return None
+    return frozenset(frag.root[1] for frag in frags)
+
+
 def anchored_power_exponents(f: Formula) -> frozenset[int]:
     """Exponents k whose k-power periods or roots the anchored search for f reads.
 
@@ -179,11 +200,9 @@ def anchored_power_exponents(f: Formula) -> frozenset[int]:
     """
     ks = set()
     for frag in _compiled(f):
-        ks.update(k for _, k in _adjacent_runs(frag))  # a power fragment is one such run
-        if frag.kind == "vsquare":
-            ks.add(2)
-        elif frag.kind == "periodic" and frag.r == 0:
-            ks.add(frag.q)
+        ks.update(k for _, k in _adjacent_runs(frag))
+        if frag.root is not None:
+            ks.add(frag.root[1])
     return frozenset(ks)
 
 
@@ -288,6 +307,15 @@ class PowerStack:
                 del by_period[len(x)]
         self.n -= 1
 
+    def added(self) -> list[tuple[int, bytes]]:
+        """The (k, root) pairs the last push added, by k and then period, ascending.
+
+        Root x of exponent k is here exactly when x^k is a factor of the
+        word but not of the word without its last letter; x^k is then a
+        suffix, so x is too.
+        """
+        return self._added[-1]
+
     def periods(self, k: int):
         return self._by_period[k].keys()
 
@@ -372,14 +400,9 @@ class _Engine:
         """Membership of a fully-assigned fragment image, using power-root sets
         to avoid repeated full-text scans for x^k-shaped images."""
         self._step()
-        if frag.kind == "power":
-            return assign[frag.occs[0]] in self.powers.roots(len(frag.occs))
-        if frag.kind == "vsquare":
-            half = b"".join(assign[v] for v in frag.occs[: len(frag.occs) // 2])
-            return half in self.powers.roots(2)
-        if frag.kind == "periodic" and frag.r == 0:
-            block = b"".join(assign[v] for v in frag.occs[: frag.d])
-            return block in self.powers.roots(frag.q)
+        if frag.root is not None:
+            block, k = frag.root
+            return b"".join(assign[v] for v in block) in self.powers.roots(k)
         img = b"".join(assign[v] for v in frag.occs)
         return self.w.find(img) >= 0
 
@@ -468,27 +491,28 @@ class _Engine:
             assign2[v] = w[pos : pos + L]
             yield from self._match_at(frag, j + k, pos + k * L, assign2)
 
-    def _match_exact(self, occs, j: int, pos: int, end: int, assign):
-        """Match occurrences j.. exactly filling [pos, end)."""
+    def _match_exact(self, occs, j: int, pos: int, end: int, assign, w: bytes):
+        """Match occurrences j.. exactly filling w[pos:end]."""
         self._step()
         if j == len(occs):
             if pos == end:
                 yield assign
             return
-        w = self.w
         v = occs[j]
         img = assign[v]
         if img is not None:
             L = len(img)
             if pos + L <= end and w[pos : pos + L] == img:
-                yield from self._match_exact(occs, j + 1, pos + L, end, assign)
+                yield from self._match_exact(occs, j + 1, pos + L, end, assign, w)
             return
         rest = self._rest_min(occs, j + 1, assign)
         maxlen = min(self.caps[v], end - pos - rest)
-        for L in self._length_candidates(v, 1, maxlen):
+        # with every later image known, v's image fills exactly what they leave
+        minlen = end - pos - rest if all(assign[u] is not None for u in occs[j + 1 :]) else 1
+        for L in self._length_candidates(v, minlen, maxlen):
             assign2 = list(assign)
             assign2[v] = w[pos : pos + L]
-            yield from self._match_exact(occs, j + 1, pos + L, end, assign2)
+            yield from self._match_exact(occs, j + 1, pos + L, end, assign2, w)
 
     def _position_matches(self, frag: _Frag, assign):
         total_min = self._rest_min(frag.occs, 0, assign)
@@ -574,13 +598,36 @@ class _Engine:
         for P in range(len(half), self.n // 2 + 1):
             for s, run in runs.get(P, ()):
                 for i in range(s, s + min(P, run - P + 1)):
-                    yield from self._match_exact(half, 0, i, i + P, assign)
+                    yield from self._match_exact(half, 0, i, i + P, assign, self.w)
+
+    def _root_matches(self, frag: _Frag, assign):
+        """Images of a root-block fragment with some variables fixed, from the roots.
+
+        The fragment's image is X^k, so the block's image is a root of
+        exponent k: each root as long as the fixed images plus one letter per
+        free occurrence, and at most their caps, is split over the block.
+        """
+        block, k = frag.root
+        lo = hi = 0
+        for v in block:
+            img = assign[v]
+            lo += 1 if img is None else len(img)
+            hi += self.caps[v] if img is None else len(img)
+        for g in sorted(self.powers.periods(k)):
+            if g > hi:
+                break
+            if g >= lo:
+                for x in dict.fromkeys(self.powers.roots_of_period(k, g)):
+                    yield from self._match_exact(block, 0, 0, g, assign, x)
 
     def _frag_matches(self, frag: _Frag, assign):
         unassigned = [v for v in frag.var_ids if assign[v] is None]
         if not unassigned:
             if self._assigned_fragment_ok(frag, assign):
                 yield assign
+            return
+        if frag.root is not None and len(unassigned) < len(frag.var_ids):
+            yield from self._root_matches(frag, assign)
             return
         if len(unassigned) == len(frag.var_ids):
             if frag.kind == "power":
@@ -602,11 +649,15 @@ class _Engine:
             unassigned = sum(1 for v in frag.var_ids if assign[v] is None)
             if unassigned == 0:
                 return (0, 0, 0)  # cheap verification, do first
+            # a root block with a variable pinned joins the pinned images
+            # with the roots, the fewest candidates
+            if frag.root is not None and unassigned < len(frag.var_ids):
+                return (1, unassigned, -len(frag.occs))
             # run-based enumeration only applies with no variable pinned yet;
             # prefer it, and prefer pinning many variables at once
             if frag.kind in ("power", "periodic", "vsquare") and unassigned == len(frag.var_ids):
-                return (1, -unassigned, -len(frag.occs))
-            return (2, unassigned, -len(frag.occs))
+                return (2, -unassigned, -len(frag.occs))
+            return (3, unassigned, -len(frag.occs))
 
         return min(remaining, key=key)
 
@@ -645,13 +696,32 @@ class _Engine:
             assign2[v] = w[end - L : end]
             yield from self._anchored(frag, j - 1, end - L, assign2)
 
-    def solve_anchored(self, first_only: bool) -> bool:
-        """Occurrences where at least one fragment image is a suffix of w."""
+    def _root_anchors(self, frag: _Frag, delta):
+        """The splits of each new root of the fragment's exponent over its block."""
+        block, k = frag.root
+        empty = [None] * self.nvars
+        for kx, x in delta:
+            if kx == k:
+                yield from self._match_exact(block, 0, self.n - len(x), self.n, empty, self.w)
+
+    def solve_anchored(self, first_only: bool, delta=None) -> bool:
+        """Occurrences in which some fragment is anchored at the last letter.
+
+        With ``delta`` None, a fragment's image is matched so that it ends at
+        the last letter. Otherwise every fragment has a root block and
+        ``delta`` lists the (k, root) pairs the last letter added: a new
+        occurrence has a fragment whose image X^k is a new factor, hence a
+        suffix, so its block's image X is one of these roots, ending there.
+        Either way every occurrence that w[:-1] lacks is found.
+        """
         found = False
         for fi, frag in enumerate(self.frags):
             rest = [x for x in range(len(self.frags)) if x != fi]
-            empty = [None] * self.nvars
-            for assign in self._anchored(frag, len(frag.occs) - 1, self.n, empty):
+            if delta is None:
+                seeds = self._anchored(frag, len(frag.occs) - 1, self.n, [None] * self.nvars)
+            else:
+                seeds = self._root_anchors(frag, delta)
+            for assign in seeds:
                 if self.solve(rest, assign, first_only):
                     found = True
                     if first_only:
@@ -693,42 +763,76 @@ def avoids(w: str, f: Formula, step_budget: int | None = None) -> bool:
     return not has_occurrence(w, f, step_budget)
 
 
-def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None) -> _Engine:
+def _root_delta(w: bytes, ks, powers: PowerStack | None) -> list[tuple[int, bytes]]:
+    """(k, x) for each k in ks and each root x with x^k a factor of w, not of w[:-1].
+
+    Read off ``powers`` when given; otherwise each such x^k is a suffix of w
+    whose first occurrence is at the end.
+    """
+    if powers is not None:
+        return [(k, x) for k, x in powers.added() if k in ks]
+    n = len(w)
+    delta = []
+    for k in sorted(ks):
+        for g in range(1, n // k + 1):
+            if w[n - 1 - g] == w[n - 1] and w[n - k * g : n - g] == w[n - (k - 1) * g :]:
+                if w.find(w[n - k * g :]) == n - k * g:
+                    delta.append((k, w[n - g :]))
+    return delta
+
+
+def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None, first_only: bool):
+    """The engine after its anchored search, or None when no occurrence can be new.
+
+    A formula whose fragments all have root blocks is anchored on the roots
+    the last letter added, and has no new occurrence when there are none.
+    """
+    _guard_variables(f)
     if powers is not None and powers.n != len(w):
         raise DomainError(f"power index covers {powers.n} letters, the word has {len(w)}")
-    return _Engine(w, f, len(w), step_budget, powers)
+    if len(w) == 0:
+        return None
+    w = w.encode("ascii") if isinstance(w, str) else bytes(w)
+    delta = None
+    ks = _root_exponents(f)
+    if ks is not None:
+        delta = _root_delta(w, ks, powers)
+        if not delta:
+            return None
+    eng = _Engine(w, f, len(w), step_budget, powers)
+    eng.solve_anchored(first_only, delta)
+    return eng
 
 
 def new_occurrence_exists(
     w, f: Formula, step_budget: int | None = None, powers: PowerStack | None = None
 ) -> bool:
-    """Occurrence with >= 1 fragment image ending at the last position.
+    """True if w has an occurrence of f that w[:-1] has not; False if w has none.
 
-    When every proper prefix of ``w`` avoids ``f``, this decides whether ``w``
-    still avoids it. Every formula takes the same anchored search; the DFS
-    calls it only for formulas that are not repetition shapes, which it
-    decides from ``repetition_shape`` on its suffix-run counters. ``powers``,
-    if given, is a ``PowerStack`` over ``w`` tracking
-    ``anchored_power_exponents(f)``; it replaces the whole-word scan.
+    So when ``w[:-1]`` avoids ``f``, this decides whether ``w`` does. The DFS
+    calls it for the formulas that are not repetition shapes, which it
+    decides on its suffix-run counters (``repetition_shape``). A formula
+    whose every fragment is a power, a doubled block or an r = 0 periodic
+    block is searched from the roots of those powers that the last letter
+    added, and is False with no search when there are none; any other from
+    fragment images ending at the last letter. ``powers``, if given, is a
+    ``PowerStack`` over ``w`` tracking ``anchored_power_exponents(f)``; it
+    replaces the whole-word scan and supplies those roots.
     """
-    _guard_variables(f)
-    if len(w) == 0:
-        return False
-    return _anchored_engine(w, f, step_budget, powers).solve_anchored(first_only=True)
+    eng = _anchored_engine(w, f, step_budget, powers, first_only=True)
+    return eng is not None and bool(eng.results)
 
 
 def new_assignments(
     w, f: Formula, step_budget: int | None = None, powers: PowerStack | None = None
 ) -> set[tuple[str, ...]]:
-    """All assignments with >= 1 fragment image ending at the last position.
+    """Occurrences of f in w, including every one that w[:-1] has not.
 
-    The anchored search of ``new_occurrence_exists``, run to the end; the
-    DFS calls it for the ``max-occurrences`` formula, whatever its shape.
-    ``powers`` is as for ``new_occurrence_exists``.
+    The search of ``new_occurrence_exists``, run to the end. Every reported
+    assignment is an occurrence in w; besides the new ones it may report
+    some that w[:-1] has too, so the DFS counts the ``max-occurrences``
+    formula by adding them to the set it keeps. ``powers`` is as for
+    ``new_occurrence_exists``.
     """
-    _guard_variables(f)
-    if len(w) == 0:
-        return set()
-    eng = _anchored_engine(w, f, step_budget, powers)
-    eng.solve_anchored(first_only=False)
-    return eng.decoded_results()
+    eng = _anchored_engine(w, f, step_budget, powers, first_only=False)
+    return set() if eng is None else eng.decoded_results()

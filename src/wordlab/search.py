@@ -29,6 +29,15 @@ the k-power periods and roots of the word for every exponent k the anchored
 search reads. A push adds only the k-powers ending at the new letter, so the
 anchored search takes its power lengths, power roots and fresh power images
 from that stack instead of rescanning the word's period runs.
+
+A formula whose every fragment is a power, a doubled block uu or an r = 0
+periodic block (``AA.ABAB.BB``) holds in a word exactly when each fragment's
+block image is a k-power root of it, so the anchored search for it reads
+only the roots the push added (``PowerStack.added``): a new occurrence has a
+fragment whose image is a new factor, and that image's root is one of them,
+ending at the new letter. A push that adds no such root needs no search.
+This is the semi-naive evaluation of the conjunctive query over the root
+sets (Bancilhon and Ramakrishnan, 1986).
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from wordlab.formulas import (
     Formula,
     PowerStack,
     WordPowers,
+    anchored_power_exponents,
     avoids,
     find_occurrences,
     format_assignment,
@@ -24,7 +25,16 @@ from wordlab.repetitions import SuffixRuns, distinct_squares
 
 binary = st.text(alphabet="01", max_size=40)
 
-FORMULAS = [parse_formula(t) for t in ("AA", "ABA", "ABBA", "AA.BB", "ABAB", "AA.ABAB.BB")]
+# in the last three a root block is joined with the roots once the other
+# fragment fixes its first variable (BCBC; ABAB after the doubled block
+# ACCACC) or its second (CACA)
+FORMULAS = [
+    parse_formula(t)
+    for t in ("AA", "ABA", "ABBA", "AA.BB", "ABAB", "AA.ABAB.BB", "ABAB.BCBC", "ABAB.CACA", "ABAB.ACCACC")
+]
+# every fragment a power, a doubled block (ABAABA) or an r = 0 periodic block,
+# except in AA.ABA, whose ABA keeps the generic anchored search
+ROOT_FORMULAS = [parse_formula(t) for t in ("AA.BB", "AAA.ABAB", "ABAABA.BB", "ABCABC.AA", "AA.ABA")]
 # generic fragments with doubled blocks; from AAABABAA on, the search meets
 # one (BA.BA, BA.BA, CA.CA, CAB.CAB, BAA.BAA) with its other variables known
 DOUBLED_BLOCK_FORMULAS = [
@@ -175,7 +185,9 @@ def test_power_stack_matches_whole_word_powers(ops):
         runs.push(op)
         stack.push(buf, stack.n + 1)
         word = WordPowers(bytes(buf[: stack.n]))
+        before = WordPowers(bytes(buf[: stack.n - 1]))
         for k in ks:
+            assert {x for kx, x in stack.added() if kx == k} == word.roots(k) - before.roots(k)
             assert set(stack.periods(k)) == word.periods(k)
             assert stack.roots(k) == word.roots(k)
             for g in range(1, stack.n // k + 1):
@@ -198,6 +210,49 @@ def test_word_powers_match_period_scan(w):
         assert word.roots(k) == {x.encode() for roots in by_period.values() for x in roots}
         for g, roots in by_period.items():
             assert [x.decode() for x in word.roots_of_period(k, g)] == roots
+
+
+def _stacked_prefixes(w, f):
+    """(prefix, PowerStack over it) for every non-empty prefix of w."""
+    runs = SuffixRuns(3, len(w))
+    stack = PowerStack(anchored_power_exponents(f), runs)
+    buf = bytearray(w.encode())
+    for n in range(1, len(w) + 1):
+        runs.push(buf[n - 1] - ord("0"))
+        stack.push(buf, n)
+        yield w[:n], stack
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.text(alphabet="01", max_size=24), st.text(alphabet="012", max_size=18)))
+def test_anchored_search_with_and_without_a_power_stack(w):
+    """On every prefix both searches give the same answers: every occurrence
+    the prefix one letter shorter lacks is reported, and only occurrences."""
+    for f in FORMULAS + ROOT_FORMULAS:
+        before = set()
+        for prefix, stack in _stacked_prefixes(w, f):
+            new = new_assignments(prefix, f)
+            assert new_assignments(prefix, f, powers=stack) == new, (prefix, str(f))
+            now = find_occurrences(prefix, f, cap=len(prefix))
+            assert now - before <= new <= now, (prefix, str(f))
+            exists = new_occurrence_exists(prefix, f)
+            assert new_occurrence_exists(prefix, f, powers=stack) == exists, (prefix, str(f))
+            assert bool(now - before) <= exists <= bool(now), (prefix, str(f))
+            before = now
+
+
+def test_root_block_anchor_is_bounded_by_the_new_roots():
+    """ABCABC at the end of the 400-letter prefix of the square-free 012/02/1
+    word: no square root is new, so the search stops before guessing any
+    image length (at the last letter the generic anchored search took 2.35 M
+    steps). With a 100-letter square xx appended, x is the one new root, and
+    its first split is an occurrence."""
+    w = fixed_point_prefix(parse_morphism("012/02/1"), 400)
+    f = parse_formula("ABCABC")
+    for v, want in ((w, False), (w + w[-100:], True)):
+        assert new_occurrence_exists(v, f, step_budget=10_000) is want
+        *_, (_, stack) = _stacked_prefixes(v, f)
+        assert new_occurrence_exists(v, f, step_budget=10_000, powers=stack) is want
 
 
 def test_anchored_search_rejects_a_power_stack_of_another_length():

@@ -1,13 +1,14 @@
 import glob
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import MANIFEST_DIR
-from oracles import all_words, naive_has_occurrence
+from oracles import all_words, naive_has_occurrence, naive_occurrences
 from period_scan import PeriodScanChecker
 from wordlab.constraints import ConstraintSet, check, load_constraints, parse_constraints
 from wordlab.errors import DomainError, ResourceBudgetError
@@ -145,6 +146,17 @@ def test_occurrence_budget_search_is_exact():
 # repetition shapes (x_1...x_d)^q x_1...x_r besides the powers and ABAB: q = 1
 # (ABA), odd and even lengths, d = 3, and two shapes merged into one threshold
 SHAPE_LINES = ("ABA", "ABABA", "ABABAB", "ABCABC", "ABCAB", "AA ABABA")
+# formulas whose every fragment is a power, a doubled block (ABAABA) or an
+# r = 0 periodic block (ABCABC), searched from the roots a push adds; AA.ABA
+# keeps the generic anchored search
+ROOT_LINES = (
+    "forbid-formula AA.BB",
+    "forbid-formula AAA.ABAB",
+    "forbid-formula ABAABA.BB",
+    "forbid-formula ABCABC.AA",
+    "forbid-formula AA.ABA",
+    "max-occurrences AA.BB 3",
+)
 
 DIFFERENTIAL_SETS = [
     pytest.param(ConstraintSet(k, forbidden_formulas=(parse_formula(f),)), id=f"{f}-{k}")
@@ -168,6 +180,7 @@ DIFFERENTIAL_SETS = [
         "max-distinct-squares 5",
         "max-distinct-overlaps 2",
     )
+    + ROOT_LINES
 ] + [
     pytest.param(
         ConstraintSet(2 if e >= 2 else 3, exponent_cap=(e, strict)),
@@ -219,6 +232,7 @@ def test_branch_checker_pop_undoes_push(c, data):
             checker.push(op)
         fresh = BranchChecker(c, checker.n + 1)
         assert _push_all(fresh, checker.word()) is None
+        assert check(checker.word(), c) is None
         for a in range(c.alphabet_size):
             kind = checker.push(a)
             assert kind == fresh.push(a), (checker.word(), a)
@@ -337,6 +351,25 @@ def test_repetition_shape_counts_match_oracle(line):
             ]
             brute.append(len(good))
         assert count_by_length(ConstraintSet(k, forbidden_formulas=tuple(fs)), n_max) == brute
+
+
+@pytest.mark.parametrize("line", ROOT_LINES)
+def test_root_decidable_counts_match_oracle(line):
+    """Counts of binary words to 10 letters and ternary ones to 7, by brute force,
+    grown as in ``test_repetition_shape_counts_match_oracle``."""
+    c = parse_constraints(f"alphabet 2\n{line}\n")
+    if c.occurrence_budget is not None:
+        f, budget = c.occurrence_budget
+        bad = lambda w: len(naive_occurrences(w, f.fragments, f.variable_count, len(w))) > budget
+    else:
+        (f,) = c.forbidden_formulas
+        bad = lambda w: naive_has_occurrence(w, f.fragments, f.variable_count)
+    for k, n_max in ((2, 10), (3, 7)):
+        good, brute = [""], []
+        for _ in range(n_max):
+            good = [w + a for w in good for a in "012"[:k] if not bad(w + a)]
+            brute.append(len(good))
+        assert count_by_length(replace(c, alphabet_size=k), n_max) == brute
 
 
 @pytest.mark.parametrize("k", (2, 3))
