@@ -119,6 +119,8 @@ class _Frag:
     # (block, k) when every image of the fragment is X^k, X the image of the
     # block: a power (A), a doubled block uu (u) or an r = 0 periodic block
     root: tuple[tuple[int, ...], int] | None = None
+    # (v, occurrences of v, other occurrences) for each variable v
+    counts: tuple[tuple[int, int, int], ...] = ()
 
 
 def _doubled_blocks(occs: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -138,7 +140,12 @@ def _classify(occs: tuple[int, ...]) -> _Frag:
     for j in range(m - 2, -1, -1):
         if occs[j] == occs[j + 1]:
             runlen[j] = runlen[j + 1] + 1
-    shape = {"runlen": tuple(runlen), "doubled": tuple(_doubled_blocks(occs, j) for j in range(m))}
+    counts = tuple((v, occs.count(v), m - occs.count(v)) for v in sorted(vars_))
+    shape = {
+        "runlen": tuple(runlen),
+        "doubled": tuple(_doubled_blocks(occs, j) for j in range(m)),
+        "counts": counts,
+    }
     if d == m:
         return _Frag(occs, vars_, "distinct", **shape)
     if d == 1:
@@ -341,10 +348,8 @@ class _Engine:
         # per-variable cap: other occurrences in a fragment need >= 1 letter each
         caps = [cap] * self.nvars
         for frag in self.frags:
-            m = len(frag.occs)
-            for v in frag.var_ids:
-                cnt = sum(1 for u in frag.occs if u == v)
-                caps[v] = min(caps[v], (self.n - (m - cnt)) // cnt)
+            for v, cnt, others in frag.counts:
+                caps[v] = min(caps[v], (self.n - others) // cnt)
         self.caps = caps
         self._lengths: list[frozenset[int] | None] | None = None
 

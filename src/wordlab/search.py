@@ -38,6 +38,16 @@ fragment whose image is a new factor, and that image's root is one of them,
 ending at the new letter. A push that adds no such root needs no search.
 This is the semi-naive evaluation of the conjunctive query over the root
 sets (Bancilhon and Ramakrishnan, 1986).
+
+``_run_dfs`` hands each good word to an ``on_good`` callback, which answers
+DESCEND (search its extensions), PRUNE (keep it, skip its extensions) or
+STOP. ``longest_word_search`` and ``count_by_length`` always descend until
+they stop. ``extendable_set`` is an existence search below the middle: once
+the word is h + L letters long its middle w[h:h+L] is fixed, so a subtree
+whose middle already has a witness is pruned, and the first good word of
+length L + 2h with a new middle becomes that middle's witness. About half
+the nodes of a full enumeration are skipped, and each witness is the one a
+full enumeration in letter order would have found first.
 """
 
 from __future__ import annotations
@@ -261,10 +271,17 @@ class _Stop(Exception):
     pass
 
 
-def _run_dfs(c, max_depth, node_budget, on_good, letter_order=None, partial=None):
-    """DFS over good words up to max_depth; on_good may return False to stop.
+# What ``on_good`` answers for a good word in ``_run_dfs``.
+DESCEND = "descend"  # try its extensions
+PRUNE = "prune"  # keep the word but not its extensions
+STOP = "stop"  # end the search
 
-    Returns the number of attempted letter placements (tree nodes).
+
+def _run_dfs(c, max_depth, node_budget, on_good, letter_order=None, partial=None):
+    """DFS over good words up to max_depth, in letter order.
+
+    ``on_good(checker)`` sees each good word and answers DESCEND, PRUNE or
+    STOP. Returns the number of attempted letter placements (tree nodes).
     """
     if max_depth < 0:
         raise DomainError("search depth must be non-negative")
@@ -292,9 +309,10 @@ def _run_dfs(c, max_depth, node_budget, on_good, letter_order=None, partial=None
                     partial=partial(nodes) if partial is not None else None,
                 )
             if checker.push(letters[i]) is None:
-                if on_good(checker) is False:
+                step = on_good(checker)
+                if step is STOP:
                     raise _Stop
-                if checker.n < max_depth:
+                if step is DESCEND and checker.n < max_depth:
                     stack.append(0)
                 else:
                     checker.pop()
@@ -324,8 +342,8 @@ def longest_word_search(
             best["word"] = checker.word()
             if checker.n >= budget_length:
                 reached["hit"] = True
-                return False
-        return True
+                return STOP
+        return DESCEND
 
     def partial(nodes):
         return SearchOutcome("node-budget-exceeded", best["len"], best["word"], nodes)
@@ -343,26 +361,37 @@ def extendable_set(
 ) -> set[str]:
     """Words v of the given length with a good extension p v s, |p|=|s|=horizon.
 
-    Computed by enumerating all good words of length ``length + 2*horizon``
-    and collecting middles; one witness per middle is re-verified against the
-    batch checker.
+    An existence search below the middle: every good word up to depth
+    ``horizon + length`` is enumerated, because the prefix p decides which
+    middles are good, but from there on the middle w[h:h+length] is fixed.
+    A subtree whose middle is already recorded is not entered, and the first
+    good word of length ``length + 2*horizon`` with a new middle is recorded
+    as that middle's witness and not extended. The witness is therefore the
+    first such word in letter order, as a full enumeration would find it,
+    and each one is re-verified against the batch checker.
     """
     if length < 1:
         raise DomainError("extendable-set length must be >= 1")
     h = horizon if horizon is not None else length
     if h < 0:
         raise DomainError("horizon must be >= 0")
-    total = length + 2 * h
+    fixed, total = h + length, length + 2 * h
     middles: dict[str, str] = {}
 
     def on_good(checker: BranchChecker):
-        if checker.n == total:
-            word = checker.word()
-            middles.setdefault(word[h : h + length], word)
-        return True
+        n = checker.n
+        if n < fixed:
+            return DESCEND
+        mid = checker.buf[h:fixed].decode("ascii")
+        if mid in middles:
+            return PRUNE
+        if n == total:
+            middles[mid] = checker.word()
+            return PRUNE
+        return DESCEND
 
     _run_dfs(c, total, budget_nodes, on_good, partial=lambda nodes: set(middles))
-    for mid, witness in middles.items():
+    for witness in middles.values():
         if full_check(witness, c) is not None:
             raise InternalError(
                 f"internal disagreement: incremental search emitted {witness} "
@@ -383,7 +412,7 @@ def count_by_length(
 
     def on_good(checker: BranchChecker):
         counts[checker.n] += 1
-        return True
+        return DESCEND
 
     _run_dfs(c, n_max, budget_nodes, on_good, partial=lambda nodes: counts[1:])
     return counts[1:]

@@ -1,8 +1,10 @@
+import functools
 import glob
 import os
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import MANIFEST_DIR
 from oracles import all_words, naive_has_occurrence, naive_occurrences
 from period_scan import PeriodScanChecker
+from wordlab import search
 from wordlab.constraints import ConstraintSet, check, load_constraints, parse_constraints
 from wordlab.errors import DomainError, ResourceBudgetError
 from wordlab.formulas import parse_formula
@@ -70,6 +73,21 @@ def test_extendable_set_members_are_middles_of_good_words():
         if check(w, c) is None:
             brute.add(w[horizon : horizon + length])
     assert out == brute
+
+
+def test_extendable_set_skips_subtrees_of_known_middles():
+    """Below a recorded middle nothing is searched.
+
+    With no constraints, length 3 and horizon 6, a full enumeration of the
+    15-letter words takes 65 534 nodes. Skipping every subtree whose middle
+    is known takes 1 118 nodes. A budget that runs out leaves a subset.
+    """
+    assert extendable_set(ConstraintSet(2), 3, 6, budget_nodes=2000) == set(all_words(2, 3))
+
+    full = extendable_set(SQUARE_FREE_3, 4, 4)
+    with pytest.raises(ResourceBudgetError) as info:
+        extendable_set(SQUARE_FREE_3, 4, 4, budget_nodes=200)
+    assert info.value.partial and info.value.partial < full
 
 
 def test_count_by_length_examples():
@@ -239,6 +257,55 @@ def test_branch_checker_pop_undoes_push(c, data):
             if kind is None:
                 checker.pop()
                 fresh.pop()
+
+
+@functools.cache
+def _good_words(c, n):
+    """Good words of length n in letter order, by check on each one-letter extension.
+
+    A word with a bad prefix is bad, so only good words are extended.
+    """
+    if n == 0:
+        return ("",)
+    letters = "0123456789"[: c.alphabet_size]
+    return tuple(w + a for w in _good_words(c, n - 1) for a in letters if check(w + a, c) is None)
+
+
+def _draw_sizes(data, c):
+    """Length 1-4 and horizon 0-3, the total kept to 10 letters on two letters and 7 on more."""
+    most = 10 if c.alphabet_size == 2 else 7
+    length = data.draw(st.integers(1, 4))
+    return length, data.draw(st.integers(0, min(3, (most - length) // 2)))
+
+
+@pytest.mark.parametrize("c", DIFFERENTIAL_SETS)
+@given(data=st.data())
+@settings(max_examples=10)
+def test_extendable_set_matches_brute_force(c, data):
+    length, horizon = _draw_sizes(data, c)
+    brute = {w[horizon : horizon + length] for w in _good_words(c, length + 2 * horizon)}
+    assert extendable_set(c, length, horizon) == brute
+
+
+@pytest.mark.parametrize("c", DIFFERENTIAL_SETS)
+@given(data=st.data())
+@settings(max_examples=5)
+def test_extendable_set_witnesses_come_first_in_letter_order(c, data):
+    """The words re-checked are, per middle, the first good extension in letter order."""
+    length, horizon = _draw_sizes(data, c)
+    first: dict[str, str] = {}
+    for w in _good_words(c, length + 2 * horizon):
+        first.setdefault(w[horizon : horizon + length], w)
+    rechecked = []
+
+    def recording(w, cs):
+        rechecked.append(w)
+        return check(w, cs)
+
+    with mock.patch.object(search, "full_check", recording):
+        extendable_set(c, length, horizon)
+    assert len(rechecked) == len(first)
+    assert all(first[w[horizon : horizon + length]] == w for w in rechecked)
 
 
 class _Lockstep:
