@@ -18,6 +18,7 @@ from .formulas import (
     MAX_PATTERN_VARIABLES,
     Formula,
     find_occurrences,
+    first_occurrence,
     format_assignment,
     has_occurrence,
     parse_formula,
@@ -217,25 +218,16 @@ def load_constraints(path) -> ConstraintSet:
 # whole-word checking (earliest-completing violation)
 
 
-def _earliest_formula_end(w: str, f: Formula) -> int:
-    lo, hi = 1, len(w)  # has_occurrence(w[:hi]) is true; find least such prefix
+def _least_prefix(n: int, bad) -> int:
+    """The least m >= 1 with bad(m), given bad(n) and bad(m) implying bad(m + 1)."""
+    lo, hi = 1, n
     while lo < hi:
         mid = (lo + hi) // 2
-        if has_occurrence(w[:mid], f):
+        if bad(mid):
             hi = mid
         else:
             lo = mid + 1
     return lo
-
-
-def _first_assignment(w: str, f: Formula) -> str:
-    from .formulas import _Engine  # local import to keep the module surface small
-
-    eng = _Engine(w, f, len(w), None)
-    eng.solve(list(range(len(eng.frags))), [None] * eng.nvars, first_only=True)
-    for t in eng.decoded_results():
-        return format_assignment(t)
-    return ""
 
 
 def check(w: str, c: ConstraintSet) -> Violation | None:
@@ -337,23 +329,18 @@ def check(w: str, c: ConstraintSet) -> Violation | None:
 
     for f in c.forbidden_formulas:
         if has_occurrence(w, f):
-            end = _earliest_formula_end(w, f)
-            cands.append(Violation("formula", 0, end, str(f), _first_assignment(w[:end], f)))
+            end = _least_prefix(n, lambda m: has_occurrence(w[:m], f))
+            first = format_assignment(first_occurrence(w[:end], f))
+            cands.append(Violation("formula", 0, end, str(f), first))
 
     if c.occurrence_budget is not None:
         f, budget = c.occurrence_budget
         count = len(find_occurrences(w, f, cap=max(1, n)))
         if count > budget:
-            lo, hi = 1, n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if len(find_occurrences(w[:mid], f, cap=max(1, mid))) > budget:
-                    hi = mid
-                else:
-                    lo = mid + 1
+            end = _least_prefix(n, lambda m: len(find_occurrences(w[:m], f, cap=m)) > budget)
             cands.append(
                 Violation(
-                    "occurrence-budget", 0, lo, str(f),
+                    "occurrence-budget", 0, end, str(f),
                     f"{count} distinct occurrences, budget {budget}",
                 )
             )

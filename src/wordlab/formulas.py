@@ -4,31 +4,26 @@ A formula is dot-separated fragments; an occurrence is a non-erasing
 assignment of words to variables making every fragment image a factor of the
 searched word. Occurrences are identified by the tuple of variable images.
 
-The search classifies each fragment by its repetition structure (variable
-powers, periodic blocks such as ABAB or ABABA, doubled blocks uu) and
-enumerates candidate images from period runs of the word instead of blindly
-iterating image lengths; fragments with no usable structure fall back to
-position-anchored backtracking. That backtracking still reads structure
-inside the fragment: a variable that opens an adjacent run (the AAA of
-AAABABAA) takes its lengths from the k-powers starting at its position, and
-one that opens a doubled block whose other variables are known (the BA.BA
-of AAABABAA, once A is) from the squares starting there, so each costs the
-few primitively rooted powers at one position rather than a sweep of the
-word.
+The engine solves one fragment at a time. A fragment with a block of
+variables whose image a run or a root covers goes to one routine,
+``_block_matches``: a power (the A of AA), a doubled block (the u of uu) or
+a periodic block with no remainder (the AB of ABAB) has the image X^k, X the
+block's image, so X is a root of exponent k; a periodic block with a tail
+(the AB of ABA or ABABA) starts a run of its period. The routine reads those
+roots or runs and splits each over the block with ``_match_exact``, which
+honours the image-length caps, the allowed lengths and the images already
+fixed. Any other fragment is matched left to right from each start position
+(``_match_at``); there a variable that opens an adjacent k-run takes its
+lengths from the k-powers at its position, and one that opens a doubled
+block, such as the BCBC of ABCBC, the same split of each square there.
 
-A power, a doubled block uu or a periodic block with no remainder has an
-image X^k, X the image of its block (``_Frag.root``), so it is a lookup in
-the k-power roots once its variables are fixed and a join with those roots
-once some are. A formula made only of such fragments is anchored, in
-``new_occurrence_exists`` and ``new_assignments``, on the roots the last
-letter added; any other is anchored on fragment images ending there.
-
-Each structure needs the runs of w[i] == w[i+p] at least m(p) = a p + b
-long, for one (a, b), and the engine reads them, with the k-power periods
-and roots they give, through one index with two producers: ``WordPowers``
-makes one ``repetitions.long_runs`` pass over a whole word per (a, b) (the
-batch path), and ``PowerStack`` is kept up to date by the search, one
-letter at a time.
+``new_occurrence_exists`` and ``new_assignments`` anchor the search at the
+last letter: a formula made only of root blocks on the roots that letter
+added, through the same routine, and any other on fragment images ending
+there (``_anchored``). Roots, periods and runs come from one index with two
+producers: ``WordPowers`` makes one ``repetitions.long_runs`` pass over a
+whole word per run threshold m(p) = a p + b, and ``PowerStack`` is kept up
+to date by the search, one letter at a time.
 """
 
 from __future__ import annotations
@@ -113,9 +108,9 @@ class _Frag:
     q: int = 0  # periodic: full block repeats
     r: int = 0  # periodic: leftover occurrences
     runlen: tuple[int, ...] = ()  # adjacent same-variable run length at each occurrence
-    # sizes b >= 2, ascending, of the doubled blocks occs[j:j+b] == occs[j+b:j+2b]
-    # starting at each occurrence j in which occs[j] occurs once
-    doubled: tuple[tuple[int, ...], ...] = ()
+    # the least b >= 2 with occs[j:j+b] == occs[j+b:j+2b] and occs[j] once in
+    # that block, for each occurrence j; 0 where there is none
+    doubled: tuple[int, ...] = ()
     # (block, k) when every image of the fragment is X^k, X the image of the
     # block: a power (A), a doubled block uu (u) or an r = 0 periodic block
     root: tuple[tuple[int, ...], int] | None = None
@@ -123,13 +118,11 @@ class _Frag:
     counts: tuple[tuple[int, int, int], ...] = ()
 
 
-def _doubled_blocks(occs: tuple[int, ...], j: int) -> tuple[int, ...]:
-    m = len(occs)
-    return tuple(
-        b
-        for b in range(2, (m - j) // 2 + 1)
-        if occs[j : j + b] == occs[j + b : j + 2 * b] and occs[j] not in occs[j + 1 : j + b]
-    )
+def _doubled_block(occs: tuple[int, ...], j: int) -> int:
+    for b in range(2, (len(occs) - j) // 2 + 1):
+        if occs[j : j + b] == occs[j + b : j + 2 * b] and occs[j] not in occs[j + 1 : j + b]:
+            return b
+    return 0
 
 
 def _classify(occs: tuple[int, ...]) -> _Frag:
@@ -143,7 +136,7 @@ def _classify(occs: tuple[int, ...]) -> _Frag:
     counts = tuple((v, occs.count(v), m - occs.count(v)) for v in sorted(vars_))
     shape = {
         "runlen": tuple(runlen),
-        "doubled": tuple(_doubled_blocks(occs, j) for j in range(m)),
+        "doubled": tuple(_doubled_block(occs, j) for j in range(m)),
         "counts": counts,
     }
     if d == m:
@@ -422,11 +415,11 @@ class _Engine:
         An unassigned variable's image length comes, in order of preference,
         from the k-powers starting at pos when it opens an adjacent k-run;
         from the squares starting at pos when it opens a doubled block
-        (``_Frag.doubled``) whose other variables are all assigned, since the
-        block's image is then a square of period |v| + (their lengths); from
-        the later occurrences of the next image when that one is known; and
-        otherwise from every allowed length. The first two read the position
-        index ``_powers(k)``, and fall back to the last two when it is too big.
+        (``_Frag.doubled``), each square's first half split over the block
+        by ``_match_exact``; from the later occurrences of the next image
+        when that one is known; and otherwise from every allowed length. The
+        first two read the position index ``_powers(k)``, and fall back to
+        the last two when it is too big.
         """
         self._step()
         occs = frag.occs
@@ -456,24 +449,16 @@ class _Engine:
                     assign2[v] = w[pos : pos + g]
                     yield from self._match_at(frag, j + k, pos + k * g, assign2)
                 return
-        for b in frag.doubled[j]:
-            others = occs[j + 1 : j + b]
-            if any(assign[u] is None for u in others):
-                continue
-            index = self._powers(2)
-            if index is None:
-                break
-            known = sum(len(assign[u]) for u in others)
-            allowed = self.lengths(v)
+        b = frag.doubled[j]
+        index = self._powers(2) if b else None
+        if index is not None:
+            # the block's image is the first half of a square at pos
+            hi = (self.n - pos - self._rest_min(occs, j + 2 * b, assign)) // 2
             for G in index.get(pos, ()):
-                L = G - known
-                if L > maxlen:
+                if G > hi:
                     break
-                self._step()
-                if L >= 1 and (allowed is None or L in allowed):
-                    assign2 = list(assign)
-                    assign2[v] = w[pos : pos + L]
-                    yield from self._match_at(frag, j + 1, pos + L, assign2)
+                for assign2 in self._match_exact(occs[j : j + b], 0, pos, pos + G, assign, w):
+                    yield from self._match_at(frag, j + 2 * b, pos + 2 * G, assign2)
             return
         if k == 1 and j + 1 < len(occs) and assign[occs[j + 1]] is not None:
             # jump straight to the occurrences of the known following image
@@ -499,22 +484,27 @@ class _Engine:
     def _match_exact(self, occs, j: int, pos: int, end: int, assign, w: bytes):
         """Match occurrences j.. exactly filling w[pos:end]."""
         self._step()
+        while j < len(occs) and assign[occs[j]] is not None:
+            img = assign[occs[j]]
+            if not w.startswith(img, pos, end):
+                return
+            j, pos = j + 1, pos + len(img)
         if j == len(occs):
             if pos == end:
                 yield assign
             return
         v = occs[j]
-        img = assign[v]
-        if img is not None:
-            L = len(img)
-            if pos + L <= end and w[pos : pos + L] == img:
-                yield from self._match_exact(occs, j + 1, pos + L, end, assign, w)
-            return
-        rest = self._rest_min(occs, j + 1, assign)
-        maxlen = min(self.caps[v], end - pos - rest)
-        # with every later image known, v's image fills exactly what they leave
-        minlen = end - pos - rest if all(assign[u] is not None for u in occs[j + 1 :]) else 1
-        for L in self._length_candidates(v, minlen, maxlen):
+        known = [len(assign[u]) for u in occs[j + 1 :] if assign[u] is not None]
+        free = len(occs) - j - 1 - len(known)
+        left = end - pos - free - sum(known)
+        if free:
+            lengths = self._length_candidates(v, 1, min(self.caps[v], left))
+        else:
+            # with every later image known, v's image fills exactly what they leave
+            allowed = self.lengths(v)
+            fits = 1 <= left <= self.caps[v] and (allowed is None or left in allowed)
+            lengths = (left,) if fits else ()
+        for L in lengths:
             assign2 = list(assign)
             assign2[v] = w[pos : pos + L]
             yield from self._match_exact(occs, j + 1, pos + L, end, assign2, w)
@@ -533,118 +523,71 @@ class _Engine:
         for pos in range(self.n - total_min + 1):
             yield from self._match_at(frag, 0, pos, assign)
 
-    def _power_matches(self, frag: _Frag, assign):
-        v = frag.occs[0]
-        k = len(frag.occs)
-        seen: set[bytes] = set()
-        for g in self._length_candidates(v, 1, min(self.caps[v], self.n // k)):
-            for img in self.powers.roots_of_period(k, g):
-                self._step()
-                if img in seen:
-                    continue
-                if g <= 256 or len(seen) < 100_000:
-                    seen.add(img)  # dedup is best-effort; results dedup at the end
-                assign2 = list(assign)
-                assign2[v] = img
-                yield assign2
+    def _block_matches(self, frag: _Frag, assign, roots=None):
+        """Images of the fragment's block, each a split of a factor a root or a run covers.
 
-    def _splits(self, total: int, caps: list[int], lensets):
-        """Compositions of total into positive parts bounded by caps and length sets."""
-        if len(caps) == 1:
-            if 1 <= total <= caps[0] and (lensets[0] is None or total in lensets[0]):
-                yield (total,)
-            return
-        head, allowed = caps[0], lensets[0]
-        rest, rest_sets = caps[1:], lensets[1:]
-        lo = max(1, total - sum(rest))
-        hi = min(head, total - len(rest))
-        firsts = range(lo, hi + 1) if allowed is None else [g for g in sorted(allowed) if lo <= g <= hi]
-        for first in firsts:
-            self._step()
-            for tail in self._splits(total - first, rest, rest_sets):
-                yield (first,) + tail
-
-    def _periodic_matches(self, frag: _Frag, assign):
-        d, q, r = frag.d, frag.q, frag.r
-        block = frag.occs[:d]
-        caps = [self.caps[v] for v in block]
-        lensets = [self.lengths(v) for v in block]
-        g_hi = min(sum(caps), (self.n - r) // q if r else self.n // q)
-        seen: set[tuple[bytes, ...]] = set()
-        runs = self.word.runs(q - 1, r)
-        for G in range(d, g_hi + 1):
-            L_min = q * G + r
-            for s, run in runs.get(G, ()):
-                count = run + G - L_min + 1  # valid start positions from s
-                avail_base = s + run + G
-                for i in range(s, s + min(G, count)):
-                    avail = avail_base - i
-                    for split in self._splits(G, caps, lensets):
-                        if r and q * G + sum(split[:r]) > avail:
-                            continue
-                        images = []
-                        off = i
-                        for L in split:
-                            images.append(self.w[off : off + L])
-                            off += L
-                        key = tuple(images)
-                        if key in seen:
-                            continue
-                        if G <= 256 or len(seen) < 100_000:
-                            seen.add(key)  # best-effort dedup
-                        assign2 = list(assign)
-                        for v, img in zip(block, images):
-                            assign2[v] = img
-                        yield assign2
-
-    def _vsquare_matches(self, frag: _Frag, assign):
-        half = frag.occs[: len(frag.occs) // 2]
-        runs = self.word.runs(1, 0)
-        for P in range(len(half), self.n // 2 + 1):
-            for s, run in runs.get(P, ()):
-                for i in range(s, s + min(P, run - P + 1)):
-                    yield from self._match_exact(half, 0, i, i + P, assign, self.w)
-
-    def _root_matches(self, frag: _Frag, assign):
-        """Images of a root-block fragment with some variables fixed, from the roots.
-
-        The fragment's image is X^k, so the block's image is a root of
-        exponent k: each root as long as the fixed images plus one letter per
-        free occurrence, and at most their caps, is split over the block.
+        A root block (``_Frag.root``) of exponent k splits the given roots of
+        exponent k, shortest first, else the word's roots whose length the
+        block can take. A periodic block with a tail, (x_1...x_d)^q x_1...x_r,
+        splits the first G letters of each run of period G at least
+        (q - 1) G + r long, where the run leaves room for the tail. Candidates
+        come by period, then position, then split, and each image once.
         """
-        block, k = frag.root
+        block = frag.occs[: frag.d] if frag.root is None else frag.root[0]
         lo = hi = 0
         for v in block:
             img = assign[v]
             lo += 1 if img is None else len(img)
             hi += self.caps[v] if img is None else len(img)
-        for g in sorted(self.powers.periods(k)):
+        seen = set()
+        if frag.root is None:
+            q, r = frag.q, frag.r
+            for G, runs in self.word.runs(q - 1, r).items():
+                if G > hi:
+                    break
+                for s, run in runs if G >= lo else ():
+                    for i in range(s, s + min(G, run - (q - 1) * G - r + 1)):
+                        room = s + run + G - i - q * G
+                        for assign2 in self._match_exact(block, 0, i, i + G, assign, self.w):
+                            images = tuple(assign2[v] for v in block)
+                            if sum(map(len, images[:r])) <= room and images not in seen:
+                                seen.add(images)
+                                yield assign2
+            return
+        k = frag.root[1]
+        if roots is None:
+            powers = self.powers
+            by_period = ((g, powers.roots_of_period(k, g)) for g in sorted(powers.periods(k)))
+        else:
+            by_period = ((len(x), (x,)) for x in roots)
+        v = block[0] if len(block) == 1 else None
+        allowed = None if v is None else self.lengths(v)
+        for g, group in by_period:
             if g > hi:
                 break
-            if g >= lo:
-                for x in dict.fromkeys(self.powers.roots_of_period(k, g)):
+            if g < lo or (allowed is not None and g not in allowed):
+                continue
+            for x in group:
+                self._step()
+                if x in seen:
+                    continue
+                seen.add(x)
+                if v is None:
                     yield from self._match_exact(block, 0, 0, g, assign, x)
+                else:
+                    assign2 = list(assign)
+                    assign2[v] = x
+                    yield assign2
 
     def _frag_matches(self, frag: _Frag, assign):
-        unassigned = [v for v in frag.var_ids if assign[v] is None]
+        unassigned = sum(1 for v in frag.var_ids if assign[v] is None)
         if not unassigned:
             if self._assigned_fragment_ok(frag, assign):
                 yield assign
-            return
-        if frag.root is not None and len(unassigned) < len(frag.var_ids):
-            yield from self._root_matches(frag, assign)
-            return
-        if len(unassigned) == len(frag.var_ids):
-            if frag.kind == "power":
-                yield from self._power_matches(frag, assign)
-                return
-            if frag.kind == "periodic":
-                yield from self._periodic_matches(frag, assign)
-                return
-            if frag.kind == "vsquare":
-                yield from self._vsquare_matches(frag, assign)
-                return
-        yield from self._position_matches(frag, assign)
+        elif frag.root is not None or (frag.kind == "periodic" and unassigned == len(frag.var_ids)):
+            yield from self._block_matches(frag, assign)
+        else:
+            yield from self._position_matches(frag, assign)
 
     # -- joint solving ----------------------------------------------------
 
@@ -701,14 +644,6 @@ class _Engine:
             assign2[v] = w[end - L : end]
             yield from self._anchored(frag, j - 1, end - L, assign2)
 
-    def _root_anchors(self, frag: _Frag, delta):
-        """The splits of each new root of the fragment's exponent over its block."""
-        block, k = frag.root
-        empty = [None] * self.nvars
-        for kx, x in delta:
-            if kx == k:
-                yield from self._match_exact(block, 0, self.n - len(x), self.n, empty, self.w)
-
     def solve_anchored(self, first_only: bool, delta=None) -> bool:
         """Occurrences in which some fragment is anchored at the last letter.
 
@@ -725,7 +660,8 @@ class _Engine:
             if delta is None:
                 seeds = self._anchored(frag, len(frag.occs) - 1, self.n, [None] * self.nvars)
             else:
-                seeds = self._root_anchors(frag, delta)
+                roots = [x for k, x in delta if k == frag.root[1]]
+                seeds = self._block_matches(frag, [None] * self.nvars, roots)
             for assign in seeds:
                 if self.solve(rest, assign, first_only):
                     found = True
@@ -755,12 +691,22 @@ def find_occurrences(w: str, f: Formula, cap: int, step_budget: int | None = Non
     return eng.decoded_results()
 
 
-def has_occurrence(w: str, f: Formula, step_budget: int | None = None) -> bool:
+def first_occurrence(w: str, f: Formula, step_budget: int | None = None) -> tuple[str, ...] | None:
+    """The first occurrence of f that the search meets in w, or None if w avoids f.
+
+    The search goes fragment by fragment in a fixed order, so the answer
+    depends only on w and f; ``check`` reports it as its formula witness.
+    """
     _guard_variables(f)
     if len(w) == 0:
-        return False
+        return None
     eng = _Engine(w, f, len(w), step_budget)
-    return eng.solve(list(range(len(eng.frags))), [None] * eng.nvars, first_only=True)
+    eng.solve(list(range(len(eng.frags))), [None] * eng.nvars, first_only=True)
+    return next(iter(eng.decoded_results()), None)
+
+
+def has_occurrence(w: str, f: Formula, step_budget: int | None = None) -> bool:
+    return first_occurrence(w, f, step_budget) is not None
 
 
 def avoids(w: str, f: Formula, step_budget: int | None = None) -> bool:

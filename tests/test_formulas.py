@@ -13,6 +13,7 @@ from wordlab.formulas import (
     anchored_power_exponents,
     avoids,
     find_occurrences,
+    first_occurrence,
     format_assignment,
     has_occurrence,
     is_doubled,
@@ -25,12 +26,17 @@ from wordlab.repetitions import SuffixRuns, distinct_squares
 
 binary = st.text(alphabet="01", max_size=40)
 
-# in the last three a root block is joined with the roots once the other
-# fragment fixes its first variable (BCBC; ABAB after the doubled block
-# ACCACC) or its second (CACA)
+# in ABAB.BCBC, ABAB.CACA and ABAB.ACCACC a root block is joined with the
+# roots once the other fragment fixes its first variable (BCBC; ABAB after
+# the doubled block ACCACC) or its second (CACA); the last four split runs
+# with a tail for q >= 2 (ABABA) and q = 1 (ABCAB), a doubled block
+# (ABAABA) and a root block with no variable fixed (the BCBC of AA.BCBC)
 FORMULAS = [
     parse_formula(t)
-    for t in ("AA", "ABA", "ABBA", "AA.BB", "ABAB", "AA.ABAB.BB", "ABAB.BCBC", "ABAB.CACA", "ABAB.ACCACC")
+    for t in (
+        "AA", "ABA", "ABBA", "AA.BB", "ABAB", "AA.ABAB.BB", "ABAB.BCBC", "ABAB.CACA", "ABAB.ACCACC",
+        "ABABA", "ABCAB", "ABAABA", "AA.BCBC",
+    )
 ]
 # every fragment a power, a doubled block (ABAABA) or an r = 0 periodic block,
 # except in AA.ABA, whose ABA keeps the generic anchored search
@@ -82,6 +88,12 @@ def test_find_occurrences_examples():
     assert find_occurrences("010", parse_formula("A"), 1) == {("0",), ("1",)}
     with pytest.raises(DomainError):
         find_occurrences("01", parse_formula("AA"), 0)
+    # the last free image of a split gets at least one letter: this word avoids
+    # ABAABA, though A=01 with an empty B would spell it
+    f = parse_formula("ABAABA")
+    assert find_occurrences("00101010110", f, 11) == set()
+    assert first_occurrence("00101010110", f) is None
+    assert first_occurrence("0101101011", f) == ("1", "0")
 
 
 def test_avoids_examples():
@@ -128,9 +140,14 @@ def test_doubled_block_search_without_the_square_index(w, cap):
 def test_doubled_block_search_is_near_linear():
     """AAABABAA on the period-doubling word: B's lengths come from the squares
     at its position (about 94 000 steps); the budget sits far below the 6.2 M
-    steps of trying B at every later occurrence of A."""
+    steps of trying B at every later occurrence of A. ABCBC on the square-free
+    012/02/1 word: the squares at B's position are split over B and C while
+    C is still unknown (about 0.25 M steps, against 110.8 M when B and C were
+    each tried at every length)."""
     w = fixed_point_prefix(parse_morphism("01/00"), 5000)
     assert not has_occurrence(w, parse_formula("AAABABAA"), step_budget=500_000)
+    w = fixed_point_prefix(parse_morphism("012/02/1"), 500)
+    assert not has_occurrence(w, parse_formula("ABCBC"), step_budget=1_000_000)
 
 
 @given(st.text(alphabet="012", min_size=0, max_size=60))
@@ -239,6 +256,23 @@ def test_anchored_search_with_and_without_a_power_stack(w):
             assert new_occurrence_exists(prefix, f, powers=stack) == exists, (prefix, str(f))
             assert bool(now - before) <= exists <= bool(now), (prefix, str(f))
             before = now
+
+
+@settings(max_examples=30)
+@given(st.one_of(st.text(alphabet="01", max_size=24), st.text(alphabet="012", max_size=18)))
+def test_anchored_search_on_a_power_stack_makes_no_whole_word_pass(w):
+    """With a ``PowerStack``, the root-block formulas read every power from it,
+    a disjoint root block such as the BCBC of AA.BCBC included."""
+
+    def whole_word_pass(*args):
+        raise AssertionError("whole-word runs pass")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WordPowers, "runs", whole_word_pass)
+        for f in ROOT_FORMULAS + [parse_formula("AA.BCBC")]:
+            for prefix, stack in _stacked_prefixes(w, f):
+                new_assignments(prefix, f, powers=stack)
+                new_occurrence_exists(prefix, f, powers=stack)
 
 
 def test_root_block_anchor_is_bounded_by_the_new_roots():

@@ -173,6 +173,8 @@ ROOT_LINES = (
     "forbid-formula ABAABA.BB",
     "forbid-formula ABCABC.AA",
     "forbid-formula AA.ABA",
+    "forbid-formula ABAABA",
+    "forbid-formula AA.BCBC",
     "max-occurrences AA.BB 3",
 )
 
