@@ -360,7 +360,7 @@ def verify_characterization(
         report.assumptions.append(LOCALIZER_NOTE)
 
     if m.code_pieces is not None:
-        bad = [v for v in factors(prefix, L) if not code_factor_membership(v, m.code_pieces)]
+        bad = [v for v in sorted(fact) if not code_factor_membership(v, m.code_pieces)]
         report.results.append(
             CheckResult(
                 "factors-live-in-code",

@@ -24,7 +24,7 @@ from .formulas import (
     parse_formula,
 )
 from .graphs import LabelledGraph, builtin_graph, graph_from_edges
-from .repetitions import _violation_length, long_runs
+from .repetitions import _violation_length, first_windows, long_runs
 from .words import validate_word
 
 _KIND_PRIORITY = {
@@ -239,82 +239,44 @@ def check(w: str, c: ConstraintSet) -> Violation | None:
     n = len(w)
     cands: list[Violation] = []
 
-    for fct in sorted(c.forbidden_factors):
-        i = w.find(fct)
-        if i >= 0:
-            cands.append(Violation("factor", i, i + len(fct), fct))
-
+    forbidden = [(fct, "factor") for fct in sorted(c.forbidden_factors)]
     if c.graph is not None:
         # a walk avoids the length-2 factors of the graph's non-edges
         adj = c.graph.adjacency()
         letters = range(c.alphabet_size)
-        found = [w.find(f"{a}{b}") for a in letters for b in letters if not adj[a][b]]
-        i = min((i for i in found if i >= 0), default=None)
-        if i is not None:
-            cands.append(Violation("graph", i, i + 2, w[i : i + 2]))
+        forbidden += [(f"{a}{b}", "graph") for a in letters for b in letters if not adj[a][b]]
+    for fct, kind in forbidden:
+        i = w.find(fct)
+        if i >= 0:
+            cands.append(Violation(kind, i, i + len(fct), fct))
 
     want_sq = (
         c.sq_min_period is not None or c.allowed_squares is not None or c.max_square_count is not None
     )
     want_ov = c.allowed_overlaps is not None or c.max_overlap_count is not None
-    sq_first: dict[str, int] = {}  # factor -> earliest end (for counting)
-    ov_first: dict[str, int] = {}
-    best_period: tuple[int, int] | None = None  # (end, start) for sq_min
-    best_not_allowed: tuple[int, int] | None = None
-    best_ov: tuple[int, int] | None = None
     if want_sq or want_ov:
         # runs of length >= p hold the squares; those of length >= p + 1 the overlaps
-        for p, s, run in long_runs(w, range(1, n // 2 + 1), lambda p: p if want_sq else p + 1):
-            if c.sq_min_period is not None and p >= c.sq_min_period:
-                cand = (s + 2 * p, s)
-                if best_period is None or cand < best_period:
-                    best_period = cand
-            if c.allowed_squares is not None or c.max_square_count is not None:
-                for i in range(s, s + min(p, run - p + 1)):
-                    fct = w[i : i + 2 * p]
-                    if c.allowed_squares is not None and fct not in c.allowed_squares:
-                        cand = (i + 2 * p, i)
-                        if best_not_allowed is None or cand < best_not_allowed:
-                            best_not_allowed = cand
-                        break
-                    sq_first.setdefault(fct, i + 2 * p)
-            if want_ov:
-                for i in range(s, s + min(p, run - p)):
-                    fct = w[i : i + 2 * p + 1]
-                    if c.allowed_overlaps is not None and fct not in c.allowed_overlaps:
-                        cand = (i + 2 * p + 1, i)
-                        if best_ov is None or cand < best_ov:
-                            best_ov = cand
-                        break
-                    ov_first.setdefault(fct, i + 2 * p + 1)
-
-    if best_period is not None:
-        e, s = best_period
-        cands.append(Violation("square-period", s, e, w[s:e]))
-    if best_not_allowed is not None:
-        e, s = best_not_allowed
-        cands.append(Violation("square-not-allowed", s, e, w[s:e]))
-    if c.max_square_count is not None and len(sq_first) > c.max_square_count:
-        by_end = sorted((e, fct) for fct, e in sq_first.items())
-        e, fct = by_end[c.max_square_count]
-        cands.append(
-            Violation(
-                "square-count", e - len(fct), e, fct,
-                f"more than {c.max_square_count} distinct squares",
-            )
-        )
-    if best_ov is not None:
-        e, s = best_ov
-        cands.append(Violation("overlap-not-allowed", s, e, w[s:e]))
-    if c.max_overlap_count is not None and len(ov_first) > c.max_overlap_count:
-        by_end = sorted((e, fct) for fct, e in ov_first.items())
-        e, fct = by_end[c.max_overlap_count]
-        cands.append(
-            Violation(
-                "overlap-count", e - len(fct), e, fct,
-                f"more than {c.max_overlap_count} distinct overlaps",
-            )
-        )
+        runs = list(long_runs(w, range(1, n // 2 + 1), lambda p: p if want_sq else p + 1))
+        if c.sq_min_period is not None:
+            # the earliest square of a run is its first 2p letters
+            best = min(((s + 2 * p, s) for p, s, _ in runs if p >= c.sq_min_period), default=None)
+            if best is not None:
+                e, s = best
+                cands.append(Violation("square-period", s, e, w[s:e]))
+        for name, extra, allowed, budget in (
+            ("square", 0, c.allowed_squares, c.max_square_count),
+            ("overlap", 1, c.allowed_overlaps, c.max_overlap_count),
+        ):
+            if allowed is None and budget is None:
+                continue
+            first = first_windows(w, extra, runs)
+            for u, e in first.items():
+                if allowed is not None and u not in allowed:
+                    cands.append(Violation(f"{name}-not-allowed", e - len(u), e, u))
+            if budget is not None and len(first) > budget:
+                e, u = sorted((e, u) for u, e in first.items())[budget]
+                detail = f"more than {budget} distinct {name}s"
+                cands.append(Violation(f"{name}-count", e - len(u), e, u, detail))
 
     if c.exponent_cap is not None:
         e_cap, strict = c.exponent_cap

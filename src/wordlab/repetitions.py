@@ -13,10 +13,14 @@ longest-common-extension queries. ``max_exponent`` makes two such passes,
 the first over a few small periods for a lower bound e on the exponent, the
 second for every run that reaches e.
 
+A square and a minimal overlap of period p are the windows of length 2p
+and 2p + 1 that a run covers; ``first_windows`` gives each distinct one with
+the end of its first occurrence, for the inventories and for ``check``.
+
 Words shorter than ``_NUMPY_MIN`` letters, where per-call overhead is the
-cost, take a packed path in ``distinct_squares``, ``distinct_min_overlaps``
-and ``max_exponent``: the letters are the bytes of one int, and one period's
-agreements w[i] == w[i+p] are a handful of big-int operations.
+cost, take a packed path in ``first_windows`` and ``max_exponent``: the
+letters are the bytes of one int, and one period's agreements
+w[i] == w[i+p] are a handful of big-int operations.
 
 ``SuffixRuns`` answers the same questions for the suffixes of a word that
 grows and shrinks at its end, as the search needs them: per-period counters
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -216,55 +220,63 @@ def _packed(w: str) -> int:
 # write it out, since a helper call per period is most of its cost.
 
 
-def _short_windows(w: str, extra: int) -> set[str]:
-    """Distinct factors of period p and length 2p + extra, for w under ``_NUMPY_MIN`` letters."""
+def first_windows(
+    w: str, extra: int, runs: Iterable[tuple[int, int, int]] | None = None
+) -> dict[str, int]:
+    """Each distinct factor of period p and length 2p + extra, with the end of its first occurrence.
+
+    extra = 0 gives the squares, extra = 1 the minimal overlaps. ``runs`` are
+    the maximal runs (p, start, length) of w[i] == w[i+p] in (p, start)
+    order, as ``long_runs`` yields them, including every one at least
+    p + extra long; shorter ones hold no window. Without them, w takes the
+    packed path below ``_NUMPY_MIN`` letters and one ``long_runs`` pass above.
+    """
     n = len(w)
-    x = _packed(w)
-    low, high = _LOW7[n], _HIGH
-    out: set[str] = set()
-    y = x
-    for p in range(1, (n - extra) // 2 + 1):
-        y >>= 8
-        m = high[n - p] & ~((x ^ y) + low)
-        need = p + extra  # agreements in a row that make one such factor
-        if m.bit_count() < need:
-            continue
-        # keep field i only if fields i .. i + need - 1 all agree
-        k = 1
-        while m and k < need:
-            step = k if 2 * k <= need else need - k
-            m &= m >> (8 * step)
-            k += step
+    out: dict[str, int] = {}
+    if runs is None and n < _NUMPY_MIN:
+        x = _packed(w)
+        low, high = _LOW7[n], _HIGH
+        y = x
+        for p in range(1, (n - extra) // 2 + 1):
+            y >>= 8
+            m = high[n - p] & ~((x ^ y) + low)
+            need = p + extra  # agreements in a row that make one such factor
+            if m.bit_count() < need:
+                continue
+            # keep field i only if fields i .. i + need - 1 all agree
+            k = 1
+            while m and k < need:
+                step = k if 2 * k <= need else need - k
+                m &= m >> (8 * step)
+                k += step
+            # a window p letters on in the same run repeats it
+            m &= ~(m << (8 * p))
+            length = 2 * p + extra
+            # highest field first, so the first occurrence's end is stored last
+            while m:
+                top = m.bit_length()
+                i = (top >> 3) - 1
+                out[w[i : i + length]] = i + length
+                m ^= 1 << (top - 1)
+        return out
+    if runs is None:
+        runs = long_runs(w, range(1, (n - extra) // 2 + 1), lambda p: p + extra)
+    for p, s, run in runs:
         length = 2 * p + extra
-        while m:
-            bit = m & -m
-            i = (bit.bit_length() >> 3) - 1
-            out.add(w[i : i + length])
-            m ^= bit
+        # windows repeat with stride p inside a periodic run
+        for e in range(s + length, s + length + min(p, run - p - extra + 1)):
+            out.setdefault(w[e - length : e], e)
     return out
 
 
 def distinct_squares(w: str) -> set[str]:
     """All distinct factors of the form uu, u non-empty."""
-    if len(w) < _NUMPY_MIN:
-        return _short_windows(w, 0)
-    out: set[str] = set()
-    for p, s, run in long_runs(w, range(1, len(w) // 2 + 1), lambda p: p):
-        # windows repeat with stride p inside a periodic run
-        for i in range(s, s + min(p, run - p + 1)):
-            out.add(w[i : i + 2 * p])
-    return out
+    return set(first_windows(w, 0))
 
 
 def distinct_min_overlaps(w: str) -> set[str]:
     """Distinct minimal overlap witnesses: factors of length 2p+1 with period p."""
-    if len(w) < _NUMPY_MIN:
-        return _short_windows(w, 1)
-    out: set[str] = set()
-    for p, s, run in long_runs(w, range(1, (len(w) - 1) // 2 + 1), lambda p: p + 1):
-        for i in range(s, s + min(p, run - p)):
-            out.add(w[i : i + 2 * p + 1])
-    return out
+    return set(first_windows(w, 1))
 
 
 def find_sq_t(w: str, t: int) -> Repetition | None:

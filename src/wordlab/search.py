@@ -22,13 +22,17 @@ A pop restores them from snapshots: one per level for the last 256 levels
 (about 5 MB at depth 10 000, linear in the depth) and one per 256 levels
 below (about 0.4 MB there, quadratic in the depth).
 
+Squares and minimal overlaps are one family each: a window of length
+2p + extra (extra 0 or 1) ends the word when r_p >= p + extra, and one loop
+tests each family's windows against its allow-list and budget.
 Per depth, ``BranchChecker`` keeps what the push at that depth added, and a
-pop (or a rejected push) undoes exactly that: the squares, overlaps and
-occurrence assignments counted against a budget, and, in a ``PowerStack``,
-the k-power periods and roots of the word for every exponent k the anchored
-search reads. A push adds only the k-powers ending at the new letter, so the
-anchored search takes its power lengths, power roots and fresh power images
-from that stack instead of rescanning the word's period runs.
+pop (or a rejected push) undoes exactly that: one undo record, kept only
+when a budget is set, of the squares, overlaps and occurrence assignments
+counted against the budgets, and, in a ``PowerStack``, the k-power periods
+and roots of the word for every exponent k the anchored search reads. A
+push adds only the k-powers ending at the new letter, so the anchored search
+takes its power lengths, power roots and fresh power images from that stack
+instead of rescanning the word's period runs.
 
 A formula whose every fragment is a power, a doubled block uu or an r = 0
 periodic block (``AA.ABAB.BB``) holds in a word exactly when each fragment's
@@ -91,23 +95,6 @@ class BranchChecker:
             l: frozenset(f.encode() for f in c.forbidden_factors if len(f) == l)
             for l in self.factor_lens
         }
-        self.sq_min = c.sq_min_period
-        self.allowed_squares = (
-            frozenset(s.encode() for s in c.allowed_squares)
-            if c.allowed_squares is not None
-            else None
-        )
-        self.max_sq = c.max_square_count
-        self.allowed_overlaps = (
-            frozenset(s.encode() for s in c.allowed_overlaps)
-            if c.allowed_overlaps is not None
-            else None
-        )
-        self.max_ov = c.max_overlap_count
-        scan_squares = (
-            self.sq_min is not None or self.allowed_squares is not None or self.max_sq is not None
-        )
-        scan_overlaps = self.allowed_overlaps is not None or self.max_ov is not None
         # repetition shapes (AA, ABAB, ABCABC, ...) are decided on the counters, no engine
         shapes = {repetition_shape(f) for f in c.forbidden_formulas} - {None}
         self.formulas = tuple(f for f in c.forbidden_formulas if repetition_shape(f) is None)
@@ -117,19 +104,38 @@ class BranchChecker:
             exponents |= anchored_power_exponents(self.occ[0])
 
         # each repetition test is one threshold m(p) on the suffix-run counters
-        repetitions = scan_squares or scan_overlaps or c.exponent_cap is not None
+        repetitions = any(x is not None for x in (
+            c.sq_min_period, c.allowed_squares, c.max_square_count,
+            c.allowed_overlaps, c.max_overlap_count, c.exponent_cap,
+        ))
         self.runs = runs = (
             SuffixRuns(c.alphabet_size, max_length)
             if repetitions or shapes or exponents
             else None
         )
-        self._squares = None
-        # with no allow-list and no budget, only squares of period >= sq_min matter
-        self._period_bound_only = self.allowed_squares is None and self.max_sq is None
-        if scan_squares:
-            lo = self.sq_min if self._period_bound_only else 1
-            self._squares = runs.threshold(lambda p: p if p >= lo else max_length + 1)
-        self._overlaps = runs.threshold(lambda p: p + 1) if scan_overlaps else None
+        never = max_length + 1
+        sq_min = c.sq_min_period
+        self._square_period = (
+            None if sq_min is None else runs.threshold(lambda p: p if p >= sq_min else never)
+        )
+        # a square (extra 0) or minimal overlap (extra 1) of period p ends the word
+        # when r_p >= p + extra; one entry per family with an allow-list or a budget
+        self._families = [
+            (
+                runs.threshold(lambda p: p + extra),
+                extra,
+                None if allowed is None else frozenset(u.encode() for u in allowed),
+                budget,
+                set(),  # the distinct windows counted against the budget
+                f"{name}-not-allowed",
+                f"{name}-count",
+            )
+            for extra, allowed, budget, name in (
+                (0, c.allowed_squares, c.max_square_count, "square"),
+                (1, c.allowed_overlaps, c.max_overlap_count, "overlap"),
+            )
+            if allowed is not None or budget is not None
+        ]
         self._exponent = None
         if c.exponent_cap is not None:
             e, strict = c.exponent_cap
@@ -137,17 +143,14 @@ class BranchChecker:
         # one threshold for all shapes: the least (q - 1) p + r over those with p >= d
         self._shapes = None
         if shapes:
-            never = max_length + 1
             self._shapes = runs.threshold(
                 lambda p: min([(q - 1) * p + r for d, q, r in shapes if p >= d], default=never)
             )
         self.powers = PowerStack(exponents, runs) if exponents else None
-        self.seen_squares: set[bytes] = set()
-        self.seen_overlaps: set[bytes] = set()
         self.seen_assignments: set[tuple[str, ...]] = set()
-        self._sq_stack: list[tuple[bytes, ...]] = []
-        self._ov_stack: list[tuple[bytes, ...]] = []
-        self._occ_stack: list[tuple[tuple[str, ...], ...]] = []
+        self._budgeted = (c.max_square_count, c.max_overlap_count, self.occ) != (None, None, None)
+        # per depth, the (seen set, new items) pairs its push added; kept only under a budget
+        self._undo: list[list[tuple[set, list]]] = []
 
     def word(self) -> str:
         return self.buf[: self.n].decode("ascii")
@@ -171,35 +174,21 @@ class BranchChecker:
         runs = self.runs
         if runs is not None:
             runs.push(letter)
-        new_sq: list[bytes] = []
-        if self._squares is not None:
-            if self._period_bound_only:
-                if runs.any(self._squares):
-                    return self._reject("square-period")
-            else:
-                sq_min = self.sq_min
-                for p in runs.hits(self._squares):
-                    if sq_min is not None and p >= sq_min:
-                        return self._reject("square-period")
-                    fct = bytes(buf[n - 2 * p : n])
-                    if self.allowed_squares is not None and fct not in self.allowed_squares:
-                        return self._reject("square-not-allowed")
-                    if self.max_sq is not None and fct not in self.seen_squares:
-                        if fct not in new_sq:
-                            new_sq.append(fct)
-                            if len(self.seen_squares) + len(new_sq) > self.max_sq:
-                                return self._reject("square-count")
-        new_ov: list[bytes] = []
-        if self._overlaps is not None:
-            for p in runs.hits(self._overlaps):
-                fct = bytes(buf[n - 2 * p - 1 : n])
-                if self.allowed_overlaps is not None and fct not in self.allowed_overlaps:
-                    return self._reject("overlap-not-allowed")
-                if self.max_ov is not None and fct not in self.seen_overlaps:
-                    if fct not in new_ov:
-                        new_ov.append(fct)
-                        if len(self.seen_overlaps) + len(new_ov) > self.max_ov:
-                            return self._reject("overlap-count")
+        if self._square_period is not None and runs.any(self._square_period):
+            return self._reject("square-period")
+        added: list[tuple[set, list]] = []
+        for t, extra, allowed, budget, seen, not_allowed, count in self._families:
+            fresh: list[bytes] = []
+            for p in runs.hits(t):
+                fct = bytes(buf[n - 2 * p - extra : n])
+                if allowed is not None and fct not in allowed:
+                    return self._reject(not_allowed)
+                if budget is not None and fct not in seen and fct not in fresh:
+                    fresh.append(fct)
+                    if len(seen) + len(fresh) > budget:
+                        return self._reject(count)
+            if fresh:
+                added.append((seen, fresh))
         if self._exponent is not None and runs.any(self._exponent):
             return self._reject("exponent")
         if self._shapes is not None and runs.any(self._shapes):
@@ -215,27 +204,21 @@ class BranchChecker:
                 if new_occurrence_exists(wb, f, powers=powers):
                     self._unpush()
                     return "formula"
-        new_occ: list[tuple[str, ...]] = []
         if self.occ is not None:
             if wb is None:
                 wb = bytes(buf[:n])
             f, budget = self.occ
-            for a in new_assignments(wb, f, powers=powers):
-                if a not in self.seen_assignments:
-                    new_occ.append(a)
-            if len(self.seen_assignments) + len(new_occ) > budget:
+            seen = self.seen_assignments
+            fresh = [a for a in new_assignments(wb, f, powers=powers) if a not in seen]
+            if len(seen) + len(fresh) > budget:
                 self._unpush()
                 return "occurrence-budget"
+            added.append((seen, fresh))
 
-        if self.max_sq is not None:
-            self.seen_squares.update(new_sq)
-            self._sq_stack.append(tuple(new_sq))
-        if self.max_ov is not None:
-            self.seen_overlaps.update(new_ov)
-            self._ov_stack.append(tuple(new_ov))
-        if self.occ is not None:
-            self.seen_assignments.update(new_occ)
-            self._occ_stack.append(tuple(new_occ))
+        if self._budgeted:
+            for seen, fresh in added:
+                seen.update(fresh)
+            self._undo.append(added)
         return None
 
     def _reject(self, kind: str) -> str:
@@ -256,15 +239,9 @@ class BranchChecker:
         if self.n == 0:
             raise WordlabError("pop on empty checker")
         self._unpush()
-        if self.max_sq is not None:
-            for fct in self._sq_stack.pop():
-                self.seen_squares.discard(fct)
-        if self.max_ov is not None:
-            for fct in self._ov_stack.pop():
-                self.seen_overlaps.discard(fct)
-        if self.occ is not None:
-            for a in self._occ_stack.pop():
-                self.seen_assignments.discard(a)
+        if self._budgeted:
+            for seen, fresh in self._undo.pop():
+                seen.difference_update(fresh)
 
 
 class _Stop(Exception):

@@ -13,7 +13,7 @@ from oracles import (
     naive_max_exponent,
 )
 from period_scan import scan_check, scan_max_exponent, scan_runs, violation_length
-from wordlab.constraints import check, parse_constraints
+from wordlab.constraints import ConstraintSet, check, parse_constraints
 from wordlab.errors import DomainError
 from wordlab.morphisms import fixed_point_prefix, parse_morphism
 from wordlab.repetitions import (
@@ -23,6 +23,7 @@ from wordlab.repetitions import (
     distinct_min_overlaps,
     distinct_squares,
     find_sq_t,
+    first_windows,
     format_exponent,
     is_exponent_free,
     long_runs,
@@ -144,6 +145,22 @@ def test_cross_operation_invariants(w):
     exp, _ = max_exponent(w)
     assert (exp >= 2) == bool(squares)
     assert (exp > 2) == bool(overlaps)
+    # check's budgets count the same windows as the inventories
+    for k, kind, budget in (
+        (len(squares), "square-count", lambda k: ConstraintSet(2, max_square_count=k)),
+        (len(overlaps), "overlap-count", lambda k: ConstraintSet(2, max_overlap_count=k)),
+    ):
+        if k:
+            assert check(w, budget(k)) is None
+            assert check(w, budget(k - 1)).kind == kind
+
+
+@given(st.one_of(binary, ternary))
+def test_first_windows_packed_path_matches_runs(w):
+    """Below 96 letters the packed path gives the runs path's first ends."""
+    for extra in (0, 1):
+        runs = long_runs(w, range(1, (len(w) - extra) // 2 + 1), lambda p: p + extra)
+        assert first_windows(w, extra) == first_windows(w, extra, runs)
 
 
 @given(binary, st.fractions(min_value=Fraction(11, 10), max_value=Fraction(4)))
@@ -226,6 +243,8 @@ REPETITION_CONSTRAINTS = [
     "allow-overlaps 000 111 01010",
     "max-distinct-squares 6\nmax-distinct-overlaps 2",
     "allow-squares 00 11 22\nmax-distinct-squares 2\nallow-overlaps 000",
+    "max-distinct-squares 3\nmax-distinct-overlaps 1",
+    "forbid-squares-min-period 3\nallow-squares 00 11 0101 1010",
     "exponent-cap 7/4 strict",
     "exponent-cap 5/2 weak",
     "exponent-cap 3 strict",

@@ -209,6 +209,18 @@ DIFFERENTIAL_SETS = [
     for e in (Fraction(5, 3), Fraction(7, 4), Fraction(2), Fraction(5, 2), Fraction(3))
     for strict in (True, False)
 ] + [
+    # two budgets, a period bound with an allow-list, and budgets on both sides of the
+    # repetition loop: where the square and overlap families and their undo meet
+    pytest.param(
+        parse_constraints("\n".join((f"alphabet {k}",) + lines) + "\n"), id=f"{' + '.join(lines)}-{k}"
+    )
+    for k in (2, 3)
+    for lines in (
+        ("max-distinct-squares 3", "max-distinct-overlaps 1"),
+        ("forbid-squares-min-period 3", "allow-squares 00 11 0101 1010"),
+        ("allow-overlaps 000 111", "max-distinct-squares 4", "max-occurrences ABBA 2"),
+    )
+] + [
     # a non-edge that is also a forbidden factor: the factor wins, as in check
     pytest.param(parse_constraints("alphabet 3\ngraph K3\nforbid-factor 00\n"), id="K3-factor-00"),
 ] + [
