@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 from .constraints import ConstraintSet, check, load_constraints
 from .errors import DomainError, ParseError, ResourceBudgetError
-from .formulas import Formula, avoids, find_occurrences, parse_formula
+from .formulas import Formula, avoids, find_occurrences, fragment_images, parse_formula
 from .morphisms import Morphism, apply, fixed_point_prefix, morphic_prefix, parse_morphism
 from .repetitions import distinct_min_overlaps, distinct_squares
 from .search import DEFAULT_NODE_BUDGET, extendable_set
-from .words import factors
+from .words import factors, validate_word
 
 BOUNDED_SCALE_NOTE = (
     "bounded-scale substitute: equality of extendable sets with prefix factors at one "
@@ -156,6 +156,12 @@ def code_factor_membership(v: str, pieces) -> bool:
 # manifest files
 
 
+def _digit_words(ws: list[str]) -> list[str]:
+    for u in ws:
+        validate_word(u)
+    return ws
+
+
 def load_manifest(path) -> TheoremManifest:
     base = os.path.dirname(os.fspath(path))
     name = None
@@ -202,29 +208,27 @@ def load_manifest(path) -> TheoremManifest:
                     (tok,) = args
                     prefix = int(tok)
                 elif key == "expect-squares":
-                    expect_sq = frozenset(args)
+                    expect_sq = frozenset(_digit_words(args))
                 elif key == "expect-overlaps":
-                    expect_ov = frozenset(args)
+                    expect_ov = frozenset(_digit_words(args))
                 elif key == "expect-overlaps-derived":
                     ov_derived = True
                 elif key == "localizer":
-                    if len(args) == 3:
-                        k, u, pat = args
-                        localizers.append(Localizer(int(k), u, parse_formula(pat), None))
-                    elif len(args) == 4:
-                        k, u, pat, plen = args
-                        localizers.append(Localizer(int(k), u, parse_formula(pat), int(plen)))
-                    else:
-                        k, u = args
-                        localizers.append(Localizer(int(k), u, None, None))
+                    if not 2 <= len(args) <= 4:
+                        raise ParseError(f"localizer takes 2 to 4 arguments, got {len(args)}")
+                    k, u, pat, plen = args + [None] * (4 - len(args))
+                    validate_word(u)
+                    pattern = None if pat is None else parse_formula(pat)
+                    plen = None if plen is None else int(plen)
+                    localizers.append(Localizer(int(k), u, pattern, plen))
                 elif key == "code-pieces":
                     if args == ["from-target-outer"]:
                         code_pieces = ("from-target-outer",)
                     else:
-                        code_pieces = tuple(args)
+                        code_pieces = tuple(_digit_words(args))
                 elif key == "expect-occurrences":
                     ftok, captok, *images = args
-                    expect_occ = (parse_formula(ftok), int(captok), frozenset(images))
+                    expect_occ = (parse_formula(ftok), int(captok), frozenset(_digit_words(images)))
                 elif key == "expect-avoids":
                     expect_avoids.extend(parse_formula(a) for a in args)
                 else:
@@ -372,7 +376,7 @@ def verify_characterization(
     if m.expect_occurrences is not None:
         f, cap, images = m.expect_occurrences
         occs = find_occurrences(prefix, f, cap)
-        got_images = {"".join(t[ord(ch) - ord("A")] for ch in frag) for t in occs for frag in f.fragments}
+        got_images = {img for t in occs for img in fragment_images(f, t)}
         ok = len(occs) == len(images) and got_images == set(images)
         report.results.append(
             CheckResult(

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 verified/ok, 1 refuted or violation found, 2 usage/parse
-error (bad ``WORDLAB_*`` budget values and unreadable input files included),
-3 resource budget exceeded,
-4 internal disagreement between the library's own checkers (a bug, not a
-verdict). Machine-readable output is deterministic: no timestamps, factors
-sorted lexicographically.
+error (bad ``WORDLAB_*`` budget values, a node budget below 1 and
+unreadable input files included), 3 resource budget exceeded,
+4 internal error: a disagreement between the library's own checkers or any
+other unexpected exception (a bug, never a verdict). Machine-readable output
+is deterministic: no timestamps, factors sorted lexicographically.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import characterize, constraints, formulas, morphisms, repetitions, search, words
-from .errors import DomainError, InternalError, ParseError, ResourceBudgetError, WordlabError
+from .errors import DomainError, InternalError, ParseError, ResourceBudgetError
 
 ENV_NODE_BUDGET = "WORDLAB_NODE_BUDGET"
 ENV_LETTER_BUDGET = "WORDLAB_LETTER_BUDGET"
@@ -31,16 +31,8 @@ def _env_int(name: str, default: int) -> int:
         raise ParseError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _default_node_budget() -> int:
-    return _env_int(ENV_NODE_BUDGET, search.DEFAULT_NODE_BUDGET)
-
-
-def _default_letter_budget() -> int:
-    return _env_int(ENV_LETTER_BUDGET, morphisms.DEFAULT_LETTER_BUDGET)
-
-
 def _read_word(args) -> str:
-    if getattr(args, "stdin", False):
+    if args.stdin:
         text = sys.stdin.read()
     else:
         if not args.input:
@@ -53,6 +45,13 @@ def _read_word(args) -> str:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wordlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    word = argparse.ArgumentParser(add_help=False)
+    word.add_argument("--input")
+    word.add_argument("--stdin", action="store_true")
+    cons = argparse.ArgumentParser(add_help=False)
+    cons.add_argument("--constraints", required=True)
+    nodes = argparse.ArgumentParser(add_help=False)
+    nodes.add_argument("--budget-nodes", type=int, default=None)
 
     g = sub.add_parser("generate", help="print a prefix of a (possibly coded) fixed point")
     g.add_argument("--morphism", required=True, help="inner morphism, e.g. 012/02/1")
@@ -64,50 +63,39 @@ def build_parser() -> argparse.ArgumentParser:
         ("overlaps", "print the minimal-overlap inventory"),
         ("exponent", "print the maximum exponent and a witness factor"),
     ):
-        q = sub.add_parser(name, help=help_)
-        q.add_argument("--input")
-        q.add_argument("--stdin", action="store_true")
+        sub.add_parser(name, help=help_, parents=[word])
 
-    m = sub.add_parser("match", help="list occurrences of a formula")
+    m = sub.add_parser("match", help="list occurrences of a formula", parents=[word])
     m.add_argument("--formula", required=True)
-    m.add_argument("--input")
-    m.add_argument("--stdin", action="store_true")
     m.add_argument("--cap", type=int, help="max variable image length (default: word length)")
 
-    c = sub.add_parser("check", help="check a word against a constraint file")
-    c.add_argument("--constraints", required=True)
-    c.add_argument("--input")
-    c.add_argument("--stdin", action="store_true")
+    sub.add_parser("check", help="check a word against a constraint file", parents=[cons, word])
 
-    s = sub.add_parser("search", help="longest word satisfying a constraint file")
-    s.add_argument("--constraints", required=True)
+    s = sub.add_parser(
+        "search", help="longest word satisfying a constraint file", parents=[cons, nodes]
+    )
     s.add_argument("--budget-length", type=int, required=True)
-    s.add_argument("--budget-nodes", type=int, default=None)
 
-    e = sub.add_parser("extendable", help="two-sidedly extendable words of one length")
-    e.add_argument("--constraints", required=True)
+    e = sub.add_parser(
+        "extendable", help="two-sidedly extendable words of one length", parents=[cons, nodes]
+    )
     e.add_argument("--length", type=int, required=True)
     e.add_argument("--horizon", type=int, default=None)
-    e.add_argument("--budget-nodes", type=int, default=None)
 
-    n = sub.add_parser("counts", help="number of good words per length")
-    n.add_argument("--constraints", required=True)
+    n = sub.add_parser("counts", help="number of good words per length", parents=[cons, nodes])
     n.add_argument("--max", type=int, required=True)
-    n.add_argument("--budget-nodes", type=int, default=None)
 
-    v = sub.add_parser("verify", help="run one theorem manifest")
+    v = sub.add_parser("verify", help="run one theorem manifest", parents=[nodes])
     v.add_argument("--manifest", required=True)
-    v.add_argument("--budget-nodes", type=int, default=None)
 
-    va = sub.add_parser("verify-all", help="run every manifest in a directory")
+    va = sub.add_parser("verify-all", help="run every manifest in a directory", parents=[nodes])
     va.add_argument("--dir", required=True)
-    va.add_argument("--budget-nodes", type=int, default=None)
     return p
 
 
 def _cmd_generate(args) -> int:
     inner = morphisms.parse_morphism(args.morphism)
-    budget = _default_letter_budget()
+    budget = _env_int(ENV_LETTER_BUDGET, morphisms.DEFAULT_LETTER_BUDGET)
     if args.outer:
         outer = morphisms.parse_morphism(args.outer)
         word = morphisms.morphic_prefix(outer, inner, args.length, max_letters=budget)
@@ -119,16 +107,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_inventory(args) -> int:
     w = _read_word(args)
-    if args.command == "squares":
-        for u in sorted(repetitions.distinct_squares(w)):
-            print(u)
+    if args.command == "exponent":
+        exp, witness = repetitions.max_exponent(w)
+        print(f"{repetitions.format_exponent(exp)}\t{witness.factor_of(w)}")
         return 0
-    if args.command == "overlaps":
-        for u in sorted(repetitions.distinct_min_overlaps(w)):
-            print(u)
-        return 0
-    exp, witness = repetitions.max_exponent(w)
-    print(f"{repetitions.format_exponent(exp)}\t{witness.factor_of(w)}")
+    inventory = {"squares": repetitions.distinct_squares, "overlaps": repetitions.distinct_min_overlaps}
+    for u in sorted(inventory[args.command](w)):
+        print(u)
     return 0
 
 
@@ -155,8 +140,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_search(args) -> int:
     c = constraints.load_constraints(args.constraints)
-    nodes = args.budget_nodes if args.budget_nodes is not None else _default_node_budget()
-    outcome = search.longest_word_search(c, args.budget_length, nodes)
+    outcome = search.longest_word_search(c, args.budget_length, args.budget_nodes)
     print(
         f"{outcome.kind} max_length={outcome.max_length} "
         f"witness={outcome.witness or '(empty)'} nodes={outcome.tree_nodes}"
@@ -166,8 +150,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_extendable(args) -> int:
     c = constraints.load_constraints(args.constraints)
-    nodes = args.budget_nodes if args.budget_nodes is not None else _default_node_budget()
-    out = search.extendable_set(c, args.length, args.horizon, budget_nodes=nodes)
+    out = search.extendable_set(c, args.length, args.horizon, budget_nodes=args.budget_nodes)
     for w in sorted(out):
         print(w)
     return 0
@@ -175,35 +158,27 @@ def _cmd_extendable(args) -> int:
 
 def _cmd_counts(args) -> int:
     c = constraints.load_constraints(args.constraints)
-    nodes = args.budget_nodes if args.budget_nodes is not None else _default_node_budget()
-    counts = search.count_by_length(c, args.max, budget_nodes=nodes)
+    counts = search.count_by_length(c, args.max, budget_nodes=args.budget_nodes)
     for n, count in enumerate(counts, 1):
         print(f"{n}\t{count}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    manifest = characterize.load_manifest(args.manifest)
-    nodes = args.budget_nodes if args.budget_nodes is not None else _default_node_budget()
-    report = characterize.verify_characterization(manifest, budget_nodes=nodes)
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
-
-
-def _cmd_verify_all(args) -> int:
-    paths = sorted(
-        os.path.join(args.dir, name)
-        for name in os.listdir(args.dir)
-        if "." not in name and not name.startswith("_")
-    )
-    if not paths:
-        raise ParseError(f"no manifest files found in {args.dir!r}")
-    nodes = args.budget_nodes if args.budget_nodes is not None else _default_node_budget()
+    if args.command == "verify":
+        paths = [args.manifest]
+    else:
+        paths = sorted(
+            os.path.join(args.dir, name)
+            for name in os.listdir(args.dir)
+            if "." not in name and not name.startswith("_")
+        )
+        if not paths:
+            raise ParseError(f"no manifest files found in {args.dir!r}")
     all_pass = True
     for path in paths:
         manifest = characterize.load_manifest(path)
-        report = characterize.verify_characterization(manifest, budget_nodes=nodes)
+        report = characterize.verify_characterization(manifest, budget_nodes=args.budget_nodes)
         for line in report.lines():
             print(line)
         all_pass = all_pass and report.passed
@@ -221,7 +196,7 @@ _DISPATCH = {
     "extendable": _cmd_extendable,
     "counts": _cmd_counts,
     "verify": _cmd_verify,
-    "verify-all": _cmd_verify_all,
+    "verify-all": _cmd_verify,
 }
 
 
@@ -232,6 +207,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
+        if hasattr(args, "budget_nodes") and args.budget_nodes is None:
+            args.budget_nodes = _env_int(ENV_NODE_BUDGET, search.DEFAULT_NODE_BUDGET)
         return _DISPATCH[args.command](args)
     except ResourceBudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
@@ -239,12 +216,10 @@ def main(argv=None) -> int:
     except (ParseError, DomainError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except InternalError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except Exception as e:  # a bug, never a verdict
+        detail = e if isinstance(e, InternalError) else f"internal error: {type(e).__name__}: {e}"
+        print(f"error: {detail}", file=sys.stderr)
         return 4
-    except WordlabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

@@ -10,6 +10,7 @@ Blank lines and ``#`` comments are ignored; unknown directives are errors.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .formulas import (
     find_occurrences,
     first_occurrence,
     format_assignment,
+    fragment_images,
     has_occurrence,
     parse_formula,
 )
@@ -218,18 +220,6 @@ def load_constraints(path) -> ConstraintSet:
 # whole-word checking (earliest-completing violation)
 
 
-def _least_prefix(n: int, bad) -> int:
-    """The least m >= 1 with bad(m), given bad(n) and bad(m) implying bad(m + 1)."""
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if bad(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def check(w: str, c: ConstraintSet) -> Violation | None:
     """The earliest-completing violation of ``w`` against ``c``, or None.
 
@@ -291,19 +281,20 @@ def check(w: str, c: ConstraintSet) -> Violation | None:
 
     for f in c.forbidden_formulas:
         if has_occurrence(w, f):
-            end = _least_prefix(n, lambda m: has_occurrence(w[:m], f))
+            end = bisect.bisect_left(range(n), True, lo=1, key=lambda m: has_occurrence(w[:m], f))
             first = format_assignment(first_occurrence(w[:end], f))
             cands.append(Violation("formula", 0, end, str(f), first))
 
     if c.occurrence_budget is not None:
         f, budget = c.occurrence_budget
-        count = len(find_occurrences(w, f, cap=max(1, n)))
-        if count > budget:
-            end = _least_prefix(n, lambda m: len(find_occurrences(w[:m], f, cap=m)) > budget)
+        occs = find_occurrences(w, f, cap=max(1, n))
+        if len(occs) > budget:
+            # an occurrence lies in w[:m] once each of its fragment images has occurred
+            ends = sorted(max(w.find(u) + len(u) for u in fragment_images(f, a)) for a in occs)
             cands.append(
                 Violation(
-                    "occurrence-budget", 0, end, str(f),
-                    f"{count} distinct occurrences, budget {budget}",
+                    "occurrence-budget", 0, ends[budget], str(f),
+                    f"{len(occs)} distinct occurrences, budget {budget}",
                 )
             )
 

@@ -95,6 +95,11 @@ def format_assignment(assignment: tuple[str, ...]) -> str:
     return ", ".join(f"{chr(ord('A') + i)}={img}" for i, img in enumerate(assignment))
 
 
+def fragment_images(f: Formula, assignment: tuple[str, ...]) -> tuple[str, ...]:
+    """The image of each fragment of f under an assignment (A's image first)."""
+    return tuple("".join(assignment[ord(ch) - ord("A")] for ch in frag) for frag in f.fragments)
+
+
 # ---------------------------------------------------------------------------
 # compiled fragment structure
 

@@ -24,7 +24,8 @@ below (about 0.4 MB there, quadratic in the depth).
 
 Squares and minimal overlaps are one family each: a window of length
 2p + extra (extra 0 or 1) ends the word when r_p >= p + extra, and one loop
-tests each family's windows against its allow-list and budget.
+tests all of a family's windows against its allow-list before it counts the
+new ones against its budget, the kind order of ``check``.
 Per depth, ``BranchChecker`` keeps what the push at that depth added, and a
 pop (or a rejected push) undoes exactly that: one undo record, kept only
 when a budget is set, of the squares, overlaps and occurrence assignments
@@ -59,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constraints import ConstraintSet, check as full_check
-from .errors import DomainError, InternalError, ResourceBudgetError, WordlabError
+from .errors import DomainError, InternalError, ResourceBudgetError
 from .formulas import (
     PowerStack,
     anchored_power_exponents,
@@ -178,15 +179,16 @@ class BranchChecker:
             return self._reject("square-period")
         added: list[tuple[set, list]] = []
         for t, extra, allowed, budget, seen, not_allowed, count in self._families:
+            # windows of different periods differ in length, so none repeats in a push
             fresh: list[bytes] = []
             for p in runs.hits(t):
                 fct = bytes(buf[n - 2 * p - extra : n])
                 if allowed is not None and fct not in allowed:
                     return self._reject(not_allowed)
-                if budget is not None and fct not in seen and fct not in fresh:
+                if budget is not None and fct not in seen:
                     fresh.append(fct)
-                    if len(seen) + len(fresh) > budget:
-                        return self._reject(count)
+            if budget is not None and len(seen) + len(fresh) > budget:
+                return self._reject(count)
             if fresh:
                 added.append((seen, fresh))
         if self._exponent is not None and runs.any(self._exponent):
@@ -237,7 +239,7 @@ class BranchChecker:
 
     def pop(self) -> None:
         if self.n == 0:
-            raise WordlabError("pop on empty checker")
+            raise DomainError("pop on empty checker")
         self._unpush()
         if self._budgeted:
             for seen, fresh in self._undo.pop():
@@ -262,6 +264,8 @@ def _run_dfs(c, max_depth, node_budget, on_good, letter_order=None, partial=None
     """
     if max_depth < 0:
         raise DomainError("search depth must be non-negative")
+    if node_budget < 1:
+        raise DomainError(f"node budget must be positive, got {node_budget}")
     letters = list(letter_order) if letter_order is not None else list(range(c.alphabet_size))
     if sorted(letters) != list(range(c.alphabet_size)):
         raise DomainError("letter order must be a permutation of the alphabet")
@@ -308,8 +312,8 @@ def longest_word_search(
 
     kind == "exhausted" means no good word of max_length+1 exists at all.
     """
-    if budget_length < 1 or budget_nodes < 1:
-        raise DomainError("budgets must be positive")
+    if budget_length < 1:
+        raise DomainError("length budget must be positive")
     best = {"len": 0, "word": ""}
     reached = {"hit": False}
 

@@ -1,10 +1,13 @@
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from conftest import MANIFEST_DIR
 from wordlab.cli import main
+from wordlab.errors import WordlabError
 
 
 def run(capsys, *argv):
@@ -180,6 +183,7 @@ def test_python_dash_m_wordlab():
     assert proc.returncode == 0 and proc.stdout == "012021\n"
 
 
+TINY_MANIFEST = "name x\nconstraints ok.cons\ntarget-inner 01/10\ncheck-length 2\nhorizon 2\nprefix 50\n"
 MALFORMED_FILES = {
     "w.txt": "0101\n",
     "bad.txt": "01x0\n",
@@ -191,6 +195,10 @@ MALFORMED_FILES = {
     "unknown.cons": "alphabet 2\nfrobnicate 3\n",
     "binary.cons": b"alphabet 2\n\xff\xfe\n",
     "no-target": "name x\nconstraints ok.cons\n",
+    "bad-expect-squares": TINY_MANIFEST + "expect-squares 00 1x\n",
+    "bad-localizer": TINY_MANIFEST + "localizer 29 0O1\n",
+    "bad-code-pieces": TINY_MANIFEST + "code-pieces 01 2x\n",
+    "bad-expect-occurrences": TINY_MANIFEST + "expect-occurrences AA 3 0x0x\n",
 }
 
 
@@ -221,6 +229,15 @@ MALFORMED_FILES = {
         (["verify", "--manifest", "missing"], 2),
         (["verify-all", "--dir", "sub"], 2),
         (["verify-all", "--dir", "w.txt"], 2),
+        (["verify", "--manifest", "bad-expect-squares"], 2),
+        (["verify", "--manifest", "bad-localizer"], 2),
+        (["verify", "--manifest", "bad-code-pieces"], 2),
+        (["verify", "--manifest", "bad-expect-occurrences"], 2),
+        (["extendable", "--constraints", "ok.cons", "--length", "3", "--budget-nodes", "0"], 2),
+        (["counts", "--constraints", "ok.cons", "--max", "3", "--budget-nodes", "0"], 2),
+        (["counts", "--constraints", "ok.cons", "--max", "3", "--budget-nodes", "-4"], 2),
+        (["verify", "--manifest", os.path.join(MANIFEST_DIR, "b3"), "--budget-nodes", "0"], 2),
+        (["verify-all", "--dir", MANIFEST_DIR, "--budget-nodes", "0"], 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, code):
@@ -231,3 +248,39 @@ def test_malformed_input_exit_codes(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), WordlabError("bare")])
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, error):
+    """An exception no handler expects exits 4, never 1: a bug is not a refutation."""
+    import wordlab.morphisms
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(wordlab.morphisms, "fixed_point_prefix", fail)
+    code, out, err = run(capsys, "generate", "--morphism", "012/02/1", "--length", "6")
+    assert code == 4 and out == ""
+    assert err.startswith("error: internal error")
+
+
+HELP_OPTIONS = {
+    "generate": {"--morphism", "--outer", "--length"},
+    "squares": {"--input", "--stdin"},
+    "overlaps": {"--input", "--stdin"},
+    "exponent": {"--input", "--stdin"},
+    "match": {"--formula", "--input", "--stdin", "--cap"},
+    "check": {"--constraints", "--input", "--stdin"},
+    "search": {"--constraints", "--budget-length", "--budget-nodes"},
+    "extendable": {"--constraints", "--length", "--horizon", "--budget-nodes"},
+    "counts": {"--constraints", "--max", "--budget-nodes"},
+    "verify": {"--manifest", "--budget-nodes"},
+    "verify-all": {"--dir", "--budget-nodes"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_help_lists_each_command_options(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == HELP_OPTIONS[command] | {"--help"}

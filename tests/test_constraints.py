@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import naive_has_occurrence
+from oracles import naive_has_occurrence, naive_occurrences
 from wordlab.constraints import ConstraintSet, check, load_constraints, parse_constraints
 from wordlab.errors import AlphabetError, DomainError, ParseError
 from wordlab.formulas import parse_formula
@@ -176,6 +176,25 @@ def test_formula_violation_ends_at_the_first_occurrence(pattern, x, a, b, y):
     v = check(w, parse_constraints(f"alphabet 2\nforbid-formula {pattern}\n"))
     first = next(n for n in range(1, len(w) + 1) if naive_has_occurrence(w[:n], f.fragments, 2))
     assert (v.kind, v.end) == ("formula", first), (w, pattern)
+
+
+@given(
+    st.sampled_from(["AA", "ABBA", "AA.BB"]),
+    st.integers(0, 3),
+    st.text(alphabet="01", min_size=1, max_size=10),
+)
+def test_occurrence_budget_ends_where_brute_force_exceeds_it(pattern, budget, w):
+    """check's budget violation ends at the shortest prefix with more than budget occurrences."""
+    f = parse_formula(pattern)
+    v = check(w, ConstraintSet(2, occurrence_budget=(f, budget)))
+    over = [
+        m for m in range(1, len(w) + 1)
+        if len(naive_occurrences(w[:m], f.fragments, f.variable_count, m)) > budget
+    ]
+    if not over:
+        assert v is None
+    else:
+        assert (v.kind, v.end) == ("occurrence-budget", over[0]), (w, pattern, budget)
 
 
 def test_pd_currie_prefix_passes_check(manifest_dir):

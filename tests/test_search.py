@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import MANIFEST_DIR
-from oracles import all_words, naive_has_occurrence, naive_occurrences
+from oracles import all_words, naive_distinct_squares, naive_has_occurrence, naive_occurrences
 from period_scan import PeriodScanChecker
 from wordlab import search
 from wordlab.constraints import ConstraintSet, check, load_constraints, parse_constraints
@@ -271,6 +271,44 @@ def test_branch_checker_pop_undoes_push(c, data):
             if kind is None:
                 checker.pop()
                 fresh.pop()
+
+
+def test_push_reports_not_allowed_before_count_as_check_does():
+    """A letter completing an allowed fresh square over the budget and a square
+    off the allow-list is rejected with check's kind, square-not-allowed.
+
+    For each binary word of at most 12 letters whose last letter completes two
+    new squares, the set allows the squares of w[:-1] and the shorter new one
+    and budgets the count of the squares of w[:-1].
+    """
+    words = 0
+    for n in range(2, 13):
+        for w in all_words(2, n):
+            old = naive_distinct_squares(w[:-1])
+            new = naive_distinct_squares(w) - old
+            if len(new) != 2:
+                continue
+            words += 1
+            allowed = frozenset(old | {min(new, key=len)})
+            c = ConstraintSet(2, allowed_squares=allowed, max_square_count=len(old))
+            assert _push_all(BranchChecker(c, n), w) == (n, check(w, c).kind), w
+    assert words == 8
+
+
+def test_non_positive_node_budget_is_a_domain_error_for_every_search():
+    for budget in (0, -4):
+        for run in (
+            lambda: longest_word_search(SQUARE_FREE_2, 5, budget),
+            lambda: extendable_set(SQUARE_FREE_2, 2, budget_nodes=budget),
+            lambda: count_by_length(SQUARE_FREE_2, 3, budget_nodes=budget),
+        ):
+            with pytest.raises(DomainError, match="node budget"):
+                run()
+
+
+def test_pop_on_empty_checker_is_a_domain_error():
+    with pytest.raises(DomainError):
+        BranchChecker(SQUARE_FREE_2, 3).pop()
 
 
 @functools.cache
