@@ -26,7 +26,7 @@ from .formulas import (
     parse_formula,
 )
 from .graphs import LabelledGraph, builtin_graph, graph_from_edges
-from .repetitions import _violation_length, first_windows, long_runs
+from .repetitions import _violation_length, first_windows, long_runs, square_runs
 from .words import validate_word
 
 _KIND_PRIORITY = {
@@ -220,6 +220,19 @@ def load_constraints(path) -> ConstraintSet:
 # whole-word checking (earliest-completing violation)
 
 
+def forbidden_patterns(c: ConstraintSet) -> list[tuple[str, str]]:
+    """Each factor a good word avoids, with its kind: "factor" or "graph".
+
+    A walk on the graph avoids the 2-letter factors of its non-edges.
+    """
+    out = [(fct, "factor") for fct in sorted(c.forbidden_factors)]
+    if c.graph is not None:
+        adj = c.graph.adjacency()
+        letters = range(c.alphabet_size)
+        out += [(f"{a}{b}", "graph") for a in letters for b in letters if not adj[a][b]]
+    return out
+
+
 def check(w: str, c: ConstraintSet) -> Violation | None:
     """The earliest-completing violation of ``w`` against ``c``, or None.
 
@@ -229,13 +242,7 @@ def check(w: str, c: ConstraintSet) -> Violation | None:
     n = len(w)
     cands: list[Violation] = []
 
-    forbidden = [(fct, "factor") for fct in sorted(c.forbidden_factors)]
-    if c.graph is not None:
-        # a walk avoids the length-2 factors of the graph's non-edges
-        adj = c.graph.adjacency()
-        letters = range(c.alphabet_size)
-        forbidden += [(f"{a}{b}", "graph") for a in letters for b in letters if not adj[a][b]]
-    for fct, kind in forbidden:
+    for fct, kind in forbidden_patterns(c):
         i = w.find(fct)
         if i >= 0:
             cands.append(Violation(kind, i, i + len(fct), fct))
@@ -245,8 +252,8 @@ def check(w: str, c: ConstraintSet) -> Violation | None:
     )
     want_ov = c.allowed_overlaps is not None or c.max_overlap_count is not None
     if want_sq or want_ov:
-        # runs of length >= p hold the squares; those of length >= p + 1 the overlaps
-        runs = list(long_runs(w, range(1, n // 2 + 1), lambda p: p if want_sq else p + 1))
+        # runs of length >= p hold the squares, and the overlaps in those >= p + 1
+        runs = square_runs(w)
         if c.sq_min_period is not None:
             # the earliest square of a run is its first 2p letters
             best = min(((s + 2 * p, s) for p, s, _ in runs if p >= c.sq_min_period), default=None)

@@ -16,6 +16,10 @@ second for every run that reaches e.
 A square and a minimal overlap of period p are the windows of length 2p
 and 2p + 1 that a run covers; ``first_windows`` gives each distinct one with
 the end of its first occurrence, for the inventories and for ``check``.
+A run at least p + 1 long is also at least p long, so one pass with
+m(p) = p, ``square_runs``, holds every run either family reads. It keeps the
+runs of the last word it was asked about, so ``check`` and the two
+inventories on one long word share a single pass.
 
 Words shorter than ``_NUMPY_MIN`` letters, where per-call overhead is the
 cost, take a packed path in ``first_windows`` and ``max_exponent``: the
@@ -25,11 +29,13 @@ w[i] == w[i+p] are a handful of big-int operations.
 ``SuffixRuns`` answers the same questions for the suffixes of a word that
 grows and shrinks at its end, as the search needs them: per-period counters
 packed into one int, updated by a push in a fixed number of big-int
-operations.
+operations. Its thresholds m(p) are numpy array expressions, evaluated for
+all periods up to the length bound at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -210,6 +216,17 @@ def _packed(w: str) -> int:
     return int.from_bytes(w.encode("ascii"), "little")
 
 
+@functools.lru_cache(maxsize=1)
+def square_runs(w: str) -> tuple[tuple[int, int, int], ...]:
+    """The maximal runs (p, start, length) of w[i] == w[i+p] at least p long, in (p, start) order.
+
+    They hold every square and every minimal overlap of w. The last word's
+    runs are kept, so ``check`` and the two inventories on one word make one
+    ``long_runs`` pass between them.
+    """
+    return tuple(long_runs(w, range(1, len(w) // 2 + 1), lambda p: p))
+
+
 # The short-word paths below read the agreements w[i] == w[i + p] of one
 # period off x = _packed(w), n = len(w) < _NUMPY_MIN: a byte field f of
 # x ^ (x >> 8p) is zero exactly at an agreement, and, as ASCII keeps f below
@@ -229,7 +246,8 @@ def first_windows(
     the maximal runs (p, start, length) of w[i] == w[i+p] in (p, start)
     order, as ``long_runs`` yields them, including every one at least
     p + extra long; shorter ones hold no window. Without them, w takes the
-    packed path below ``_NUMPY_MIN`` letters and one ``long_runs`` pass above.
+    packed path below ``_NUMPY_MIN`` letters and reads ``square_runs(w)``
+    above.
     """
     n = len(w)
     out: dict[str, int] = {}
@@ -259,9 +277,7 @@ def first_windows(
                 out[w[i : i + length]] = i + length
                 m ^= 1 << (top - 1)
         return out
-    if runs is None:
-        runs = long_runs(w, range(1, (n - extra) // 2 + 1), lambda p: p + extra)
-    for p, s, run in runs:
+    for p, s, run in square_runs(w) if runs is None else runs:
         length = 2 * p + extra
         # windows repeat with stride p inside a periodic run
         for e in range(s + length, s + length + min(p, run - p - extra + 1)):
@@ -442,22 +458,33 @@ class SuffixRuns:
         b, f = self._bits, self._fields
         return tuple(const & ((1 << (min(1 << j, f) * b)) - 1) for j in range(f.bit_length() + 1))
 
-    def threshold(self, m: Callable[[int], int]) -> tuple[int, ...]:
+    def threshold(self, m: Callable) -> tuple[int, ...]:
         """The biases testing r_p >= m(p), for ``hits`` and ``any``.
 
         ``m`` maps each period p to a threshold >= 1; one of at least
-        max_length is never met.
+        max_length is never met. It is written as an array expression, and
+        called on int64 arrays of consecutive periods, ``_BLOCK`` at a time
+        (an int result holds for the whole block). The products in every m
+        here grow with p, so an int64 overflow shows at a block's last
+        period, where m is also evaluated on a Python int; if they differ,
+        the block is evaluated again on Python ints.
         """
+        f = self._fields
         # a counter stays below 2^(b-1), so a larger threshold is never met
         half = 1 << (self._bits - 1)
-
-        def bias(p):
-            need = m(p)
-            if need < 1:
+        fields = np.empty(f, self._dtype)
+        for lo in range(0, f, _BLOCK):
+            periods = np.arange(lo + 1, min(lo + _BLOCK, f) + 1, dtype=np.int64)
+            try:
+                need = np.broadcast_to(m(periods), periods.shape)
+                exact = int(need[-1]) == m(int(periods[-1]))
+            except OverflowError:
+                exact = False
+            if not exact:
+                need = np.broadcast_to(m(periods.astype(object)), periods.shape)
+            if need.min() < 1:
                 raise DomainError("suffix-run thresholds must be >= 1")
-            return half - need if need < half else 0
-
-        fields = np.fromiter(map(bias, range(1, self._fields + 1)), self._dtype, self._fields)
+            fields[lo : lo + len(periods)] = half - np.minimum(need, half)
         return self._cuts(int.from_bytes(fields.tobytes(), "little"))
 
     def push(self, letter: int) -> None:

@@ -9,6 +9,17 @@ period p >= d has r_p >= (q - 1) p + r. Other formula and occurrence-budget
 constraints are re-checked through suffix-anchored occurrence search, which
 is exact because every prefix on the current branch already passed.
 
+Forbidden factors and the graph's non-edges, taken as forbidden 2-letter
+factors, are one Aho-Corasick automaton (Aho and Corasick, CACM 1975), built
+once per checker: a table of state x letter -> next state, where a
+transition that completes a pattern stores the kind it completes ("factor"
+before "graph", as in ``check``). The state after each prefix is kept by
+depth, so a push is one table lookup on the state of the word one letter
+shorter, and a pop or a rejected push has nothing to undo; this is the
+incremental design of Ochem's morphism generator (RAIRO ITA, 2006).
+``check`` keeps one ``str.find`` per pattern, which beats a Python loop over
+the automaton on a long word.
+
 Every suffix test on repetitions reads one set of counters,
 ``repetitions.SuffixRuns``: for each period p, the length r_p of the run of
 w[i] == w[i-p] that ends the word. The word ends in a square of period p
@@ -57,9 +68,11 @@ full enumeration in letter order would have found first.
 
 from __future__ import annotations
 
+import functools
+from array import array
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet, check as full_check
+from .constraints import ConstraintSet, check as full_check, forbidden_patterns
 from .errors import DomainError, InternalError, ResourceBudgetError
 from .formulas import (
     PowerStack,
@@ -83,6 +96,59 @@ class SearchOutcome:
     tree_nodes: int
 
 
+# The kinds of pattern the factor automaton rejects on, in ``check``'s order;
+# a transition completing one of kind i stores ~i.
+_COMPLETES = ("factor", "graph")
+
+
+def _factor_automaton(c: ConstraintSet) -> list[int] | None:
+    """The Aho-Corasick automaton of ``forbidden_patterns(c)``, as a flat table.
+
+    A state is a longest suffix of the word that is a proper prefix of some
+    pattern, and is numbered by its offset s = k * index, so its transition
+    on the letter a is entry s + a: the next state's offset, or ~i when the
+    letter completes a pattern of kind ``_COMPLETES[i]`` ("factor" when a
+    factor and a non-edge both end there). No state ends a pattern, since
+    the search never extends a word that contains one. None if there are no
+    patterns.
+    """
+    patterns = forbidden_patterns(c)
+    if not patterns:
+        return None
+    k = c.alphabet_size
+    live = len(_COMPLETES)  # the kind index of a node that completes no pattern
+    children: list[dict[int, int]] = [{}]  # the trie of the patterns
+    done = [live]  # the least kind index that a node's suffixes complete
+    for fct, kind in patterns:
+        s = 0
+        for a in map(int, fct):
+            if a not in children[s]:
+                children[s][a] = len(children)
+                children.append({})
+                done.append(live)
+            s = children[s][a]
+        done[s] = min(done[s], _COMPLETES.index(kind))
+    # breadth first, so a node's failure link (its longest proper suffix in
+    # the trie) comes before it: a missing child falls back on the link's row
+    rows: list[list[int]] = [[]] * len(children)
+    fail = [0] * len(children)
+    order = [0]
+    for u in order:
+        rows[u] = [children[u].get(a, rows[fail[u]][a] if u else 0) for a in range(k)]
+        for a, v in children[u].items():
+            fail[v] = rows[fail[u]][a] if u else 0
+            done[v] = min(done[v], done[fail[v]])
+            order.append(v)
+    states = [u for u in order if done[u] == live]
+    offset = {u: k * i for i, u in enumerate(states)}
+    return [offset[v] if done[v] == live else ~done[v] for u in states for v in rows[u]]
+
+
+def _least(a, b):
+    """The elementwise minimum of two int arrays (or of two ints)."""
+    return a + (b < a) * (b - a)
+
+
 class BranchChecker:
     """Incremental constraint checker over one growing/shrinking word."""
 
@@ -90,12 +156,12 @@ class BranchChecker:
         self.c = c
         self.buf = bytearray(max_length + 1)
         self.n = 0
-        self.adj = c.graph.adjacency() if c.graph is not None else None
-        self.factor_lens = sorted({len(f) for f in c.forbidden_factors})
-        self.factor_sets = {
-            l: frozenset(f.encode() for f in c.forbidden_factors if len(f) == l)
-            for l in self.factor_lens
-        }
+        self._goto = _factor_automaton(c)
+        if self._goto is not None:
+            # the automaton's state after each prefix, by its length
+            top = max(self._goto)
+            code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "L"
+            self._state = array(code, [0]) * (max_length + 1)
         # repetition shapes (AA, ABAB, ABCABC, ...) are decided on the counters, no engine
         shapes = {repetition_shape(f) for f in c.forbidden_formulas} - {None}
         self.formulas = tuple(f for f in c.forbidden_formulas if repetition_shape(f) is None)
@@ -117,7 +183,7 @@ class BranchChecker:
         never = max_length + 1
         sq_min = c.sq_min_period
         self._square_period = (
-            None if sq_min is None else runs.threshold(lambda p: p if p >= sq_min else never)
+            None if sq_min is None else runs.threshold(lambda p: p + (p < sq_min) * never)
         )
         # a square (extra 0) or minimal overlap (extra 1) of period p ends the word
         # when r_p >= p + extra; one entry per family with an allow-list or a budget
@@ -145,7 +211,9 @@ class BranchChecker:
         self._shapes = None
         if shapes:
             self._shapes = runs.threshold(
-                lambda p: min([(q - 1) * p + r for d, q, r in shapes if p >= d], default=never)
+                lambda p: functools.reduce(
+                    _least, [(q - 1) * p + r + (p < d) * never for d, q, r in shapes]
+                )
             )
         self.powers = PowerStack(exponents, runs) if exponents else None
         self.seen_assignments: set[tuple[str, ...]] = set()
@@ -158,19 +226,16 @@ class BranchChecker:
 
     def push(self, letter: int) -> str | None:
         """Append a letter; None if still violation-free, else the violation kind."""
-        buf = self.buf
-        buf[self.n] = 48 + letter
         n = self.n + 1
+        goto = self._goto
+        if goto is not None:
+            t = goto[self._state[n - 1] + letter]
+            if t < 0:
+                return _COMPLETES[~t]
+            self._state[n] = t
+        buf = self.buf
+        buf[n - 1] = 48 + letter
         self.n = n
-
-        for l in self.factor_lens:
-            if l <= n and bytes(buf[n - l : n]) in self.factor_sets[l]:
-                self.n = n - 1
-                return "factor"
-        if self.adj is not None and n >= 2:
-            if not self.adj[buf[n - 2] - 48][buf[n - 1] - 48]:
-                self.n = n - 1
-                return "graph"
 
         runs = self.runs
         if runs is not None:

@@ -249,6 +249,9 @@ class PeriodScanChecker:
         if self.adj is not None and n >= 2 and not self.adj[buf[n - 2] - 48][buf[n - 1] - 48]:
             return "graph", None
 
+        # every window of a family is tested against its allow-list before the
+        # fresh ones are counted against its budget, in check's kind order
+        kinds = set()
         new_sq = []
         squares = (c.sq_min_period, c.allowed_squares, c.max_square_count)
         if any(x is not None for x in squares):
@@ -256,14 +259,14 @@ class PeriodScanChecker:
             for p in range(1, n // 2 + 1):
                 if buf[n - 2 * p : n - p] == buf[n - p : n]:
                     if c.sq_min_period is not None and p >= c.sq_min_period:
-                        return "square-period", None
+                        kinds.add("square-period")
                     fct = bytes(buf[n - 2 * p : n])
                     if c.allowed_squares is not None and fct not in self.allowed_squares:
-                        return "square-not-allowed", None
+                        kinds.add("square-not-allowed")
                     if c.max_square_count is not None and fct not in seen and fct not in new_sq:
                         new_sq.append(fct)
-                        if len(seen) + len(new_sq) > c.max_square_count:
-                            return "square-count", None
+            if c.max_square_count is not None and len(seen) + len(new_sq) > c.max_square_count:
+                kinds.add("square-count")
         new_ov = []
         if c.allowed_overlaps is not None or c.max_overlap_count is not None:
             seen = self._seen(1)
@@ -271,11 +274,13 @@ class PeriodScanChecker:
                 if buf[n - 2 * p - 1 : n - p] == buf[n - p - 1 : n]:
                     fct = bytes(buf[n - 2 * p - 1 : n])
                     if c.allowed_overlaps is not None and fct not in self.allowed_overlaps:
-                        return "overlap-not-allowed", None
+                        kinds.add("overlap-not-allowed")
                     if c.max_overlap_count is not None and fct not in seen and fct not in new_ov:
                         new_ov.append(fct)
-                        if len(seen) + len(new_ov) > c.max_overlap_count:
-                            return "overlap-count", None
+            if c.max_overlap_count is not None and len(seen) + len(new_ov) > c.max_overlap_count:
+                kinds.add("overlap-count")
+        if kinds:
+            return min(kinds, key=_KIND_PRIORITY.__getitem__), None
         if c.exponent_cap is not None:
             e, strict = c.exponent_cap
             for p in range(1, n):

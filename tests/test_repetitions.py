@@ -306,3 +306,14 @@ def test_suffix_runs_match_direct_counts(data):
 def test_suffix_runs_reject_thresholds_below_one():
     with pytest.raises(DomainError):
         SuffixRuns(2, 10).threshold(lambda p: p - 1)
+
+
+def test_suffix_run_thresholds_stay_exact_past_int64():
+    """A cap just above 1 with an 18-digit denominator overflows int64 in
+    m(p) from p = 10 on; the thresholds are those of exact arithmetic."""
+    e = Fraction(10**18 + 1, 10**18)
+    runs = SuffixRuns(10, 40)
+    t = runs.threshold(lambda p: violation_length(e, p, True) - p)
+    for a in list(range(10)) + [0]:
+        runs.push(a)
+    assert list(runs.hits(t)) == [10]

@@ -16,7 +16,7 @@ from wordlab import search
 from wordlab.constraints import ConstraintSet, check, load_constraints, parse_constraints
 from wordlab.errors import DomainError, ResourceBudgetError
 from wordlab.formulas import parse_formula
-from wordlab.graphs import builtin_graph
+from wordlab.graphs import builtin_graph, graph_from_edges
 from wordlab.repetitions import is_exponent_free
 from wordlab.search import BranchChecker, count_by_length, extendable_set, longest_word_search
 
@@ -223,6 +223,15 @@ DIFFERENTIAL_SETS = [
 ] + [
     # a non-edge that is also a forbidden factor: the factor wins, as in check
     pytest.param(parse_constraints("alphabet 3\ngraph K3\nforbid-factor 00\n"), id="K3-factor-00"),
+    # 1021 starts inside a partial match of 0102 and 0010: the automaton's failure links
+    pytest.param(
+        parse_constraints("alphabet 3\nforbid-factor 0102 1021 0010\n"), id="factors-0102-1021-0010"
+    ),
+    # P3STAR's non-edges are 00, 02, 11 and 20; 0120 ends with one
+    pytest.param(
+        parse_constraints("alphabet 3\ngraph P3STAR\nforbid-factor 0120 1212 2221\n"),
+        id="P3STAR-factors-0120-1212-2221",
+    ),
 ] + [
     pytest.param(load_constraints(path), id=os.path.basename(path))
     for path in sorted(glob.glob(os.path.join(MANIFEST_DIR, "*.cons")))
@@ -271,6 +280,28 @@ def test_branch_checker_pop_undoes_push(c, data):
             if kind is None:
                 checker.pop()
                 fresh.pop()
+
+
+@given(data=st.data())
+@settings(max_examples=200)
+def test_factor_automaton_replay_matches_check(data):
+    """1-6 random forbidden factors of 1-6 letters over 2-3 letters, with or
+    without a random graph: pushed letter by letter, a random word and every
+    word of 5 letters are rejected where, and as, check's earliest violation ends."""
+    k = data.draw(st.integers(2, 3))
+    letters = "012"[:k]
+    factors = data.draw(
+        st.frozensets(st.text(alphabet=letters, min_size=1, max_size=6), min_size=1, max_size=6)
+    )
+    graph = None
+    if data.draw(st.booleans()):
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
+        graph = graph_from_edges(k, pairs)
+    c = ConstraintSet(k, forbidden_factors=factors, graph=graph)
+    words = [data.draw(st.text(alphabet=letters, min_size=1, max_size=30))]
+    for w in words + list(all_words(k, 5)):
+        v = check(w, c)
+        assert _push_all(BranchChecker(c, len(w)), w) == (None if v is None else (v.end, v.kind)), w
 
 
 def test_push_reports_not_allowed_before_count_as_check_does():
@@ -430,6 +461,19 @@ def test_deep_undo_matches_period_scan(text):
         both.probe()
         _descend(both, tried, depth)
     assert both.checker.n == depth and check(both.checker.word(), c) is None
+
+
+def test_allow_list_before_budget_matches_period_scan():
+    """The last letter of 0110101101 completes 101101, allowed but fresh over
+    the budget, and 0110101101, not allowed: both checkers and check report
+    square-not-allowed. Every letter is probed on the way."""
+    c = parse_constraints("alphabet 2\nallow-squares 11 1010 0101 101101\nmax-distinct-squares 3\n")
+    w = "0110101101"
+    both = _Lockstep(c, len(w))
+    for a in w[:-1]:
+        both.probe()
+        assert both.push(int(a)) is None
+    assert both.push(int(w[-1])) == check(w, c).kind == "square-not-allowed"
 
 
 @pytest.mark.parametrize("max_length, bits", [(32_767, 16), (32_768, 32)])
