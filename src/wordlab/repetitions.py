@@ -29,8 +29,11 @@ w[i] == w[i+p] are a handful of big-int operations.
 ``SuffixRuns`` answers the same questions for the suffixes of a word that
 grows and shrinks at its end, as the search needs them: per-period counters
 packed into one int, updated by a push in a fixed number of big-int
-operations. Its thresholds m(p) are numpy array expressions, evaluated for
-all periods up to the length bound at once.
+operations.
+
+Every threshold m(p), of ``long_runs`` and of ``SuffixRuns``, is a numpy
+array expression that ``_thresholds`` evaluates on an int64 array of
+periods, falling back to Python ints where int64 overflows.
 """
 
 from __future__ import annotations
@@ -163,7 +166,8 @@ def long_runs(
 ) -> Iterator[tuple[int, int, int]]:
     """Each maximal run (p, start, length) of w[i] == w[i+p] with length >= min_len(p).
 
-    The runs come in (p, start) order. A run at least m long holds a
+    ``min_len`` is an array expression, as ``_thresholds`` evaluates it on
+    the periods, a range. The runs come in (p, start) order. A run at least m long holds a
     position that is a multiple of m, so only those positions are tested.
     Each one whose letters agree is extended both ways, and each run is
     reported once, from the first such sample in it. Words shorter than
@@ -184,9 +188,11 @@ def _long_runs_by_ranks(
     shorter than m.
     """
     n = len(w)
-    ps_a = np.fromiter(periods, dtype=np.int64, count=len(periods))
+    if not periods:
+        return
+    ps_a = np.arange(periods.start, periods.stop, periods.step, dtype=np.int64)
     # a minimum above n - p admits no run; capping it at n keeps it in int64
-    ms_a = np.fromiter((min(max(min_len(p), 1), n) for p in periods), np.int64, len(periods))
+    ms_a = _thresholds(min_len, ps_a, 1, n)
     fits = (ps_a >= 1) & (ms_a <= n - ps_a)
     ps_a, ms_a = ps_a[fits], ms_a[fits]
     if not ps_a.size:
@@ -209,6 +215,25 @@ def _long_runs_by_ranks(
         length = back + _forward_lce(table, j, j + p)
         keep = length >= m
         yield from zip(p[keep].tolist(), (j - back)[keep].tolist(), length[keep].tolist())
+
+
+def _thresholds(m: Callable, periods: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """m(p) for each of the increasing int64 periods, clipped to lo .. hi, as int64.
+
+    ``m`` is written as an array expression and called on the periods at
+    once (an int result holds for all of them). The products in every m here
+    grow with p, so an int64 overflow shows at the last period, where m is
+    also evaluated on a Python int; if they differ, m is evaluated again on
+    Python ints.
+    """
+    try:
+        need = np.broadcast_to(m(periods), periods.shape)
+        exact = int(need[-1]) == m(int(periods[-1]))
+    except OverflowError:
+        exact = False
+    if not exact:
+        need = np.broadcast_to(m(periods.astype(object)), periods.shape)
+    return np.clip(need, lo, hi).astype(np.int64)
 
 
 def _packed(w: str) -> int:
@@ -462,12 +487,8 @@ class SuffixRuns:
         """The biases testing r_p >= m(p), for ``hits`` and ``any``.
 
         ``m`` maps each period p to a threshold >= 1; one of at least
-        max_length is never met. It is written as an array expression, and
-        called on int64 arrays of consecutive periods, ``_BLOCK`` at a time
-        (an int result holds for the whole block). The products in every m
-        here grow with p, so an int64 overflow shows at a block's last
-        period, where m is also evaluated on a Python int; if they differ,
-        the block is evaluated again on Python ints.
+        max_length is never met. It is evaluated by ``_thresholds`` on
+        ``_BLOCK`` consecutive periods at a time.
         """
         f = self._fields
         # a counter stays below 2^(b-1), so a larger threshold is never met
@@ -475,16 +496,10 @@ class SuffixRuns:
         fields = np.empty(f, self._dtype)
         for lo in range(0, f, _BLOCK):
             periods = np.arange(lo + 1, min(lo + _BLOCK, f) + 1, dtype=np.int64)
-            try:
-                need = np.broadcast_to(m(periods), periods.shape)
-                exact = int(need[-1]) == m(int(periods[-1]))
-            except OverflowError:
-                exact = False
-            if not exact:
-                need = np.broadcast_to(m(periods.astype(object)), periods.shape)
+            need = _thresholds(m, periods, 0, half)
             if need.min() < 1:
                 raise DomainError("suffix-run thresholds must be >= 1")
-            fields[lo : lo + len(periods)] = half - np.minimum(need, half)
+            fields[lo : lo + len(periods)] = half - need
         return self._cuts(int.from_bytes(fields.tobytes(), "little"))
 
     def push(self, letter: int) -> None:

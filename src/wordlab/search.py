@@ -62,8 +62,17 @@ they stop. ``extendable_set`` is an existence search below the middle: once
 the word is h + L letters long its middle w[h:h+L] is fixed, so a subtree
 whose middle already has a witness is pruned, and the first good word of
 length L + 2h with a new middle becomes that middle's witness. About half
-the nodes of a full enumeration are skipped, and each witness is the one a
-full enumeration in letter order would have found first.
+the nodes of a full enumeration are skipped.
+
+``extendable_set`` and ``count_by_length`` also search up to a permutation
+of the letters (Ochem, RAIRO ITA 2006; sound symmetry breaking in the sense
+of Crawford, Ginsberg, Luks and Roy, KR 1996). A symmetry s of the
+constraint set (``constraints.letter_symmetries``) maps good words onto good
+words, so only the subtrees whose first letter is the least of its orbit
+are searched: a count weighs each word by the size of that orbit, and a new
+middle is recorded together with its images under the symmetries, each with
+the image of the witness, whose subtrees are then skipped as well. With the
+identity alone the tree is the one searched without symmetries.
 """
 
 from __future__ import annotations
@@ -72,7 +81,12 @@ import functools
 from array import array
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet, check as full_check, forbidden_patterns
+from .constraints import (
+    ConstraintSet,
+    check as full_check,
+    forbidden_patterns,
+    letter_symmetries,
+)
 from .errors import DomainError, InternalError, ResourceBudgetError
 from .formulas import (
     PowerStack,
@@ -321,9 +335,10 @@ PRUNE = "prune"  # keep the word but not its extensions
 STOP = "stop"  # end the search
 
 
-def _run_dfs(c, max_depth, node_budget, on_good, letter_order=None, partial=None):
+def _run_dfs(c, max_depth, node_budget, on_good, letter_order=None, partial=None, roots=None):
     """DFS over good words up to max_depth, in letter order.
 
+    ``roots`` are the first letters searched (default: all of them).
     ``on_good(checker)`` sees each good word and answers DESCEND, PRUNE or
     STOP. Returns the number of attempted letter placements (tree nodes).
     """
@@ -338,28 +353,27 @@ def _run_dfs(c, max_depth, node_budget, on_good, letter_order=None, partial=None
     nodes = 0
     if max_depth == 0:
         return 0
-    stack = [0]  # stack[d] = next letter index to try at depth d
+    stack = [iter(letters if roots is None else roots)]  # the letters left to try, by depth
     try:
         while stack:
-            i = stack[-1]
-            if i == len(letters):
+            a = next(stack[-1], None)
+            if a is None:
                 stack.pop()
                 if stack:
                     checker.pop()
                 continue
-            stack[-1] += 1
             nodes += 1
             if nodes > node_budget:
                 raise ResourceBudgetError(
                     f"search exceeded node budget {node_budget}",
                     partial=partial(nodes) if partial is not None else None,
                 )
-            if checker.push(letters[i]) is None:
+            if checker.push(a) is None:
                 step = on_good(checker)
                 if step is STOP:
                     raise _Stop
                 if step is DESCEND and checker.n < max_depth:
-                    stack.append(0)
+                    stack.append(iter(letters))
                 else:
                     checker.pop()
     except _Stop:
@@ -399,6 +413,34 @@ def longest_word_search(
     return SearchOutcome(kind, best["len"], best["word"] if best["len"] else "", nodes)
 
 
+def _images(mid: str, witness: str, tables) -> dict[str, str]:
+    """Each image of mid under the group the translation tables generate, with the
+    image of witness under the same permutation, breadth first over the tables."""
+    out = {mid: witness}
+    queue = [mid]
+    for m in queue:
+        for t in tables:
+            image = m.translate(t)
+            if image not in out:
+                out[image] = out[m].translate(t)
+                queue.append(image)
+    return out
+
+
+def _symmetries(c: ConstraintSet) -> tuple[list[dict[int, int]], dict[int, int]]:
+    """The translation tables of ``letter_symmetries(c)``, and the size of each
+    letter orbit by its least letter."""
+    tables = [{48 + a: 48 + b for a, b in enumerate(s)} for s in letter_symmetries(c)]
+    roots: dict[int, int] = {}
+    placed: set[str] = set()
+    for a in "0123456789"[: c.alphabet_size]:
+        if a not in placed:
+            orbit = _images(a, a, tables)
+            placed.update(orbit)
+            roots[int(a)] = len(orbit)
+    return tables, roots
+
+
 def extendable_set(
     c: ConstraintSet,
     length: int,
@@ -407,14 +449,17 @@ def extendable_set(
 ) -> set[str]:
     """Words v of the given length with a good extension p v s, |p|=|s|=horizon.
 
-    An existence search below the middle: every good word up to depth
-    ``horizon + length`` is enumerated, because the prefix p decides which
-    middles are good, but from there on the middle w[h:h+length] is fixed.
-    A subtree whose middle is already recorded is not entered, and the first
-    good word of length ``length + 2*horizon`` with a new middle is recorded
-    as that middle's witness and not extended. The witness is therefore the
-    first such word in letter order, as a full enumeration would find it,
-    and each one is re-verified against the batch checker.
+    An existence search below the middle, up to a permutation of the
+    letters. A symmetry s of c (``letter_symmetries``) maps the good words
+    onto the good words, so only words whose first letter is the least of
+    its orbit are searched. Every good word up to depth ``horizon + length``
+    is enumerated, because the prefix p decides which middles are good, but
+    from there on the middle w[h:h+length] is fixed. The first good word of
+    length ``length + 2*horizon`` with a new middle m is recorded as its
+    witness and not extended, and each image s(m) is recorded too, with the
+    witness s(w) (breadth first over the generators). A subtree whose middle
+    is already recorded is not entered. Every witness, images included, is
+    re-verified against the batch checker.
     """
     if length < 1:
         raise DomainError("extendable-set length must be >= 1")
@@ -422,6 +467,7 @@ def extendable_set(
     if h < 0:
         raise DomainError("horizon must be >= 0")
     fixed, total = h + length, length + 2 * h
+    tables, roots = _symmetries(c)
     middles: dict[str, str] = {}
 
     def on_good(checker: BranchChecker):
@@ -432,11 +478,12 @@ def extendable_set(
         if mid in middles:
             return PRUNE
         if n == total:
-            middles[mid] = checker.word()
+            # no image of a new middle is recorded: each record adds a whole orbit
+            middles.update(_images(mid, checker.word(), tables))
             return PRUNE
         return DESCEND
 
-    _run_dfs(c, total, budget_nodes, on_good, partial=lambda nodes: set(middles))
+    _run_dfs(c, total, budget_nodes, on_good, partial=lambda nodes: set(middles), roots=roots)
     for witness in middles.values():
         if full_check(witness, c) is not None:
             raise InternalError(
@@ -451,14 +498,22 @@ def count_by_length(
     n_max: int,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
 ) -> list[int]:
-    """counts[i] = number of good words of length i+1, for i+1 = 1..n_max."""
+    """counts[i] = number of good words of length i+1, for i+1 = 1..n_max.
+
+    A symmetry s of c (``letter_symmetries``) maps the good words starting
+    with a onto those starting with s(a), so only words whose first letter
+    is the least of its orbit are searched, and each counts as many words
+    as that orbit has letters.
+    """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     counts = [0] * (n_max + 1)
+    _, roots = _symmetries(c)
+    weight = {48 + a: size for a, size in roots.items()}  # by the first byte of the word
 
     def on_good(checker: BranchChecker):
-        counts[checker.n] += 1
+        counts[checker.n] += weight[checker.buf[0]]
         return DESCEND
 
-    _run_dfs(c, n_max, budget_nodes, on_good, partial=lambda nodes: counts[1:])
+    _run_dfs(c, n_max, budget_nodes, on_good, partial=lambda nodes: counts[1:], roots=roots)
     return counts[1:]

@@ -119,3 +119,14 @@ def naive_code_membership(v, pieces, slack=2):
 def all_words(alphabet_size, length):
     digits = "0123456789"[:alphabet_size]
     return ("".join(t) for t in product(digits, repeat=length))
+
+
+def permutation_group(k, gens):
+    """Every permutation of range(k) that the generators generate, in one-line notation."""
+    out = [tuple(range(k))]
+    for s in out:
+        for g in gens:
+            t = tuple(g[a] for a in s)
+            if t not in out:
+                out.append(t)
+    return out

@@ -1,9 +1,13 @@
 import os
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import MANIFEST_DIR
 from oracles import naive_code_membership
+from wordlab import repetitions
 from wordlab.characterize import (
     code_factor_membership,
     every_window_contains,
@@ -157,3 +161,27 @@ def test_node_budget_exhaustion_never_passes(manifest_dir, capsys):
     out, err = capsys.readouterr()
     assert code == 3 and "budget" in err
     assert "VERDICT" not in out and "PASS" not in out
+
+
+def test_verify_makes_one_square_runs_pass_over_the_prefix():
+    """check and the two inventories share one m(p) = p pass over the prefix,
+    although the extendable set's witness re-checks make passes of their own."""
+    m = replace(load_manifest(os.path.join(MANIFEST_DIR, "g4-four-squares")), prefix_length=2000)
+    passes = []
+    inner = repetitions.long_runs
+
+    def counting(w, periods, min_len):
+        if len(w) == 2000 and all(min_len(p) == p for p in (1, 2, 7, 999)):
+            passes.append(periods)
+        return inner(w, periods, min_len)
+
+    repetitions.square_runs.cache_clear()
+    with mock.patch.object(repetitions, "long_runs", counting):
+        report = verify_characterization(m)
+    assert [r.name for r in report.results][:4] == [
+        "target-prefix-satisfies-constraints",
+        "factor-saturation",
+        "extendable-set-equals-prefix-factors",
+        "square-inventory",
+    ]
+    assert passes == [range(1, 1001)]

@@ -169,13 +169,22 @@ def test_internal_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: internal disagreement")
 
 
-def run_module(*argv, cwd=None):
+def run_module(*argv, cwd=None, text=True):
     """Run ``python -m wordlab`` in a fresh interpreter, importing from this checkout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     return subprocess.run(
-        [sys.executable, "-m", "wordlab", *argv], cwd=cwd, env=env, capture_output=True, text=True
+        [sys.executable, "-m", "wordlab", *argv], cwd=cwd, env=env, capture_output=True, text=text
     )
+
+
+def test_verify_all_stdout_matches_the_golden_file():
+    """``wordlab verify-all --dir manifests`` prints the committed report, byte for byte."""
+    proc = run_module("verify-all", "--dir", MANIFEST_DIR, text=False)
+    assert proc.returncode == 0, proc.stderr
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "verify-all.golden")
+    with open(golden, "rb") as fh:
+        assert proc.stdout == fh.read()
 
 
 def test_python_dash_m_wordlab():

@@ -1,10 +1,21 @@
+import glob
+import os
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import naive_has_occurrence, naive_occurrences
-from wordlab.constraints import ConstraintSet, check, load_constraints, parse_constraints
+from conftest import MANIFEST_DIR
+from oracles import naive_has_occurrence, naive_occurrences, permutation_group
+from wordlab.constraints import (
+    ConstraintSet,
+    check,
+    letter_symmetries,
+    load_constraints,
+    parse_constraints,
+    relabel,
+)
 from wordlab.errors import AlphabetError, DomainError, ParseError
 from wordlab.formulas import parse_formula
 from wordlab.graphs import builtin_graph
@@ -201,3 +212,72 @@ def test_pd_currie_prefix_passes_check(manifest_dir):
     """The 10 000-letter period-doubling prefix avoids pd-currie's constraints."""
     c = load_constraints(f"{manifest_dir}/pd-currie.cons")
     assert check(fixed_point_prefix(parse_morphism("01/00"), 10_000), c) is None
+
+
+def _group(c):
+    """Every permutation the generators of ``letter_symmetries(c)`` generate, in one-line notation."""
+    gens = letter_symmetries(c)
+    assert all(relabel(c, s) == c for s in gens)
+    return set(permutation_group(c.alphabet_size, gens))
+
+
+# the sets whose symmetry group is more than the identity
+SHIPPED_SYMMETRIES = {
+    "b3": {(0, 1, 2), (2, 1, 0)},  # 010 and 212 swap
+    "c-sq3f": {(0, 1), (1, 0)},
+    "g4": {(0, 1), (1, 0)},
+    "thrifty": {(0, 1), (1, 0)},
+    "k4": {(0, 1, 2, 3), (3, 2, 1, 0)},  # the path 0-1-2-3 reversed
+    "k5": {(0, 1, 2, 3, 4), (3, 1, 4, 0, 2)},  # the path 2-0-1-3-4 reversed
+}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(MANIFEST_DIR, "*.cons"))), ids=os.path.basename
+)
+def test_letter_symmetries_of_the_shipped_sets(path):
+    c = load_constraints(path)
+    name = os.path.basename(path)[: -len(".cons")]
+    assert _group(c) == SHIPPED_SYMMETRIES.get(name, {tuple(range(c.alphabet_size))})
+
+
+def test_letter_symmetries_of_the_4_cycle_are_dihedral():
+    rotations = {tuple((a + r) % 4 for a in range(4)) for r in range(4)}
+    reflections = {tuple((r - a) % 4 for a in range(4)) for r in range(4)}
+    assert _group(parse_constraints("alphabet 4\ngraph C4\n")) == rotations | reflections
+
+
+def test_letter_symmetries_of_ten_free_letters_without_enumerating_them():
+    """The generators of the 10! symmetries come in well under a second.
+
+    The generators fixing 0 .. i - 1 move i within an orbit of 10 - i
+    letters, so they generate at least 10! = 3 628 800 permutations: all.
+    """
+    c = ConstraintSet(10)
+    start = time.perf_counter()
+    gens = letter_symmetries(c)
+    assert time.perf_counter() - start < 1.0
+    order = 1
+    for i in range(10):
+        orbit = [i]
+        for a in orbit:
+            for s in gens:
+                if all(s[b] == b for b in range(i)) and s[a] not in orbit:
+                    orbit.append(s[a])
+        order *= len(orbit)
+    assert order == 3_628_800
+
+
+def test_relabel_renames_every_letter_bearing_field():
+    c = parse_constraints(
+        "alphabet 3\nforbid-factor 01 122\nallow-squares 00 1212\nallow-overlaps 000 20202\n"
+        "graph-edges 0-1 1-2 2-2\nforbid-formula AA.ABAB.BB\nexponent-cap 5/2\n"
+    )
+    r = relabel(c, (1, 2, 0))
+    assert r.forbidden_factors == {"12", "200"}
+    assert r.allowed_squares == {"11", "2020"} and r.allowed_overlaps == {"111", "01010"}
+    assert r.graph.edges == {(1, 2), (0, 2), (0, 0)}
+    assert (r.forbidden_formulas, r.exponent_cap) == (c.forbidden_formulas, c.exponent_cap)
+    assert relabel(r, (2, 0, 1)) == c
+    with pytest.raises(DomainError):
+        relabel(c, (0, 0, 1))

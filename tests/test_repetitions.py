@@ -303,6 +303,19 @@ def test_suffix_runs_match_direct_counts(data):
             assert runs.any(tests[name]) == bool(expected)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("num", [10**18 + 1, 2 * 10**18 + 1])
+def test_long_runs_thresholds_stay_exact_past_int64(num, strict):
+    """Caps just above 1 and 2 with an 18-digit denominator overflow int64 in
+    m(p) from p = 10 and p = 5 on; the runs are those of exact arithmetic."""
+    e = Fraction(num, 10**18)
+    rng = random.Random(num)
+    for w in (THUE, "".join(rng.choice("01") for _ in range(300))):
+        periods = range(1, len(w))
+        min_len = lambda p: violation_length(e, p, strict) - p  # noqa: E731
+        assert list(long_runs(w, periods, min_len)) == scan_runs(w, periods, min_len)
+
+
 def test_suffix_runs_reject_thresholds_below_one():
     with pytest.raises(DomainError):
         SuffixRuns(2, 10).threshold(lambda p: p - 1)
