@@ -162,6 +162,13 @@ def _digit_words(ws: list[str]) -> list[str]:
     return ws
 
 
+# Directives that set one value: a second one would silently replace the first.
+_ONE_VALUE = frozenset({
+    "name", "constraints", "target-inner", "target-outer", "check-length", "horizon", "prefix",
+    "expect-squares", "expect-overlaps", "expect-occurrences", "code-pieces",
+})
+
+
 def load_manifest(path) -> TheoremManifest:
     base = os.path.dirname(os.fspath(path))
     name = None
@@ -178,6 +185,7 @@ def load_manifest(path) -> TheoremManifest:
     code_pieces = None
     expect_occ = None
     expect_avoids: list[Formula] = []
+    seen: set[str] = set()
 
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
@@ -187,6 +195,10 @@ def load_manifest(path) -> TheoremManifest:
             parts = line.split()
             key, args = parts[0], parts[1:]
             try:
+                if key in seen:
+                    raise ParseError(f"{key!r} would replace an earlier {key!r} line")
+                if key in _ONE_VALUE:
+                    seen.add(key)
                 if key == "name":
                     (name,) = args
                 elif key == "constraints":

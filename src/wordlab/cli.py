@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 verified/ok, 1 refuted or violation found, 2 usage/parse
-error (bad ``WORDLAB_*`` budget values, a node budget below 1 and
-unreadable input files included), 3 resource budget exceeded,
-4 internal error: a disagreement between the library's own checkers or any
-other unexpected exception (a bug, never a verdict). Machine-readable output
-is deterministic: no timestamps, factors sorted lexicographically.
+error (bad ``WORDLAB_*`` budget values, a node or letter budget below 1, a
+repeated single-valued directive and unreadable input files included),
+3 resource budget exceeded, 4 internal error: a disagreement between the
+library's own checkers or any other unexpected exception (a bug, never a
+verdict). Machine-readable output is deterministic: no timestamps, factors
+sorted lexicographically.
 """
 
 from __future__ import annotations
@@ -21,14 +22,17 @@ ENV_NODE_BUDGET = "WORDLAB_NODE_BUDGET"
 ENV_LETTER_BUDGET = "WORDLAB_LETTER_BUDGET"
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_budget(name: str, default: int) -> int:
     value = os.environ.get(name)
     if value is None:
         return default
     try:
-        return int(value)
+        budget = int(value)
     except ValueError:
-        raise ParseError(f"{name} must be an integer, got {value!r}") from None
+        budget = 0  # rejected below, with the value as given
+    if budget < 1:
+        raise ParseError(f"{name} must be a positive integer, got {value!r}")
+    return budget
 
 
 def _read_word(args) -> str:
@@ -95,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     inner = morphisms.parse_morphism(args.morphism)
-    budget = _env_int(ENV_LETTER_BUDGET, morphisms.DEFAULT_LETTER_BUDGET)
+    budget = _env_budget(ENV_LETTER_BUDGET, morphisms.DEFAULT_LETTER_BUDGET)
     if args.outer:
         outer = morphisms.parse_morphism(args.outer)
         word = morphisms.morphic_prefix(outer, inner, args.length, max_letters=budget)
@@ -208,7 +212,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         if hasattr(args, "budget_nodes") and args.budget_nodes is None:
-            args.budget_nodes = _env_int(ENV_NODE_BUDGET, search.DEFAULT_NODE_BUDGET)
+            args.budget_nodes = _env_budget(ENV_NODE_BUDGET, search.DEFAULT_NODE_BUDGET)
         return _DISPATCH[args.command](args)
     except ResourceBudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

@@ -208,6 +208,14 @@ class Violation:
         return f"{msg} ({self.detail})" if self.detail else msg
 
 
+# Directives that set one value (graph-edges sets the graph): a second one
+# would silently replace the first.
+_ONE_VALUE = frozenset({
+    "alphabet", "forbid-squares-min-period", "max-distinct-squares", "max-distinct-overlaps",
+    "max-occurrences", "exponent-cap", "graph",
+})
+
+
 def parse_constraints(text: str) -> ConstraintSet:
     alphabet: int | None = None
     factors: set[str] = set()
@@ -220,6 +228,7 @@ def parse_constraints(text: str) -> ConstraintSet:
     occ: tuple[Formula, int] | None = None
     exp: tuple[Fraction, bool] | None = None
     graph: LabelledGraph | None = None
+    seen: set[str] = set()
 
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -228,6 +237,11 @@ def parse_constraints(text: str) -> ConstraintSet:
         parts = line.split()
         key, args = parts[0], parts[1:]
         try:
+            slot = "graph" if key == "graph-edges" else key
+            if slot in seen:
+                raise ParseError(f"{key!r} would replace an earlier {slot!r} line")
+            if slot in _ONE_VALUE:
+                seen.add(slot)
             if key == "alphabet":
                 (tok,) = args
                 alphabet = int(tok)
@@ -356,7 +370,7 @@ def check(w: str, c: ConstraintSet) -> Violation | None:
         ):
             if allowed is None and budget is None:
                 continue
-            first = first_windows(w, extra, runs)
+            first = first_windows(w, extra)
             for u, e in first.items():
                 if allowed is not None and u not in allowed:
                     cands.append(Violation(f"{name}-not-allowed", e - len(u), e, u))

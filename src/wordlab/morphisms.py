@@ -127,6 +127,8 @@ def reachable_letters(m: Morphism) -> frozenset[int]:
 def fixed_point_prefix(m: Morphism, n: int, max_letters: int | None = None) -> str:
     """Length-``n`` prefix of the fixed point of a prolongable morphism."""
     budget = max_letters if max_letters is not None else DEFAULT_LETTER_BUDGET
+    if budget < 1:
+        raise DomainError(f"letter budget must be positive, got {budget}")
     if n < 0:
         raise DomainError("prefix length must be non-negative")
     if not m.is_prolongable:
@@ -147,6 +149,8 @@ def fixed_point_prefix(m: Morphism, n: int, max_letters: int | None = None) -> s
 def morphic_prefix(outer: Morphism, inner: Morphism, n: int, max_letters: int | None = None) -> str:
     """Length-``n`` prefix of outer(fixed point of inner)."""
     budget = max_letters if max_letters is not None else DEFAULT_LETTER_BUDGET
+    if budget < 1:
+        raise DomainError(f"letter budget must be positive, got {budget}")
     if n < 0:
         raise DomainError("prefix length must be non-negative")
     reach = reachable_letters(inner)

@@ -9,9 +9,7 @@ p + 1 for overlaps, need(p) - p for exponent caps, (k - 1) p for the
 k-powers the formula engine reads. ``long_runs`` finds them for all periods
 in one pass: it tests only the (n - p) / m(p) positions that are multiples
 of m(p), not all n - p, and extends each match with exact
-longest-common-extension queries. ``max_exponent`` makes two such passes,
-the first over a few small periods for a lower bound e on the exponent, the
-second for every run that reaches e.
+longest-common-extension queries.
 
 A square and a minimal overlap of period p are the windows of length 2p
 and 2p + 1 that a run covers; ``first_windows`` gives each distinct one with
@@ -19,12 +17,15 @@ the end of its first occurrence, for the inventories and for ``check``.
 A run at least p + 1 long is also at least p long, so one pass with
 m(p) = p, ``square_runs``, holds every run either family reads. It keeps the
 runs of the last word it was asked about, so ``check`` and the two
-inventories on one long word share a single pass.
+inventories on one word share a single pass.
 
-Words shorter than ``_NUMPY_MIN`` letters, where per-call overhead is the
-cost, take a packed path in ``first_windows`` and ``max_exponent``: the
-letters are the bytes of one int, and one period's agreements
-w[i] == w[i+p] are a handful of big-int operations.
+A run at least p long has exponent at least 2 and beats every shorter run,
+so a word with a square has its highest exponent, ties included, among its
+``square_runs``. ``max_exponent`` reads those first on a word shorter than
+``_NUMPY_MIN`` letters, usually from the memo. On a square-free word, and
+on every longer word, it makes two ``long_runs`` passes: the first over a
+few small periods for a lower bound e on the exponent, the second for every
+run that reaches e.
 
 ``SuffixRuns`` answers the same questions for the suffixes of a word that
 grows and shrinks at its end, as the search needs them: per-period counters
@@ -51,9 +52,6 @@ from .errors import DomainError
 _NUMPY_MIN = 96
 # Samples per vectorised pass of ``long_runs``; bounds its temporaries.
 _BLOCK = 8192
-# Byte fields 0 .. n - 1 holding 0x7f, and 0x80, for each n < _NUMPY_MIN.
-_LOW7 = [int.from_bytes(b"\x7f" * n, "little") for n in range(_NUMPY_MIN)]
-_HIGH = [int.from_bytes(b"\x80" * n, "little") for n in range(_NUMPY_MIN)]
 
 
 @dataclass(frozen=True)
@@ -236,11 +234,6 @@ def _thresholds(m: Callable, periods: np.ndarray, lo: int, hi: int) -> np.ndarra
     return np.clip(need, lo, hi).astype(np.int64)
 
 
-def _packed(w: str) -> int:
-    """The letters of w as the bytes of one int, w[0] lowest."""
-    return int.from_bytes(w.encode("ascii"), "little")
-
-
 @functools.lru_cache(maxsize=1)
 def square_runs(w: str) -> tuple[tuple[int, int, int], ...]:
     """The maximal runs (p, start, length) of w[i] == w[i+p] at least p long, in (p, start) order.
@@ -252,57 +245,14 @@ def square_runs(w: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(long_runs(w, range(1, len(w) // 2 + 1), lambda p: p))
 
 
-# The short-word paths below read the agreements w[i] == w[i + p] of one
-# period off x = _packed(w), n = len(w) < _NUMPY_MIN: a byte field f of
-# x ^ (x >> 8p) is zero exactly at an agreement, and, as ASCII keeps f below
-# 0x80, f + 0x7f has bit 7 set exactly when f is not, with no carry into the
-# next field. So
-#     _HIGH[n - p] & ~((x ^ (x >> 8p)) + _LOW7[n])
-# holds 0x80 in field i where w[i] == w[i + p] and 0 elsewhere; the loops
-# write it out, since a helper call per period is most of its cost.
-
-
-def first_windows(
-    w: str, extra: int, runs: Iterable[tuple[int, int, int]] | None = None
-) -> dict[str, int]:
+def first_windows(w: str, extra: int) -> dict[str, int]:
     """Each distinct factor of period p and length 2p + extra, with the end of its first occurrence.
 
-    extra = 0 gives the squares, extra = 1 the minimal overlaps. ``runs`` are
-    the maximal runs (p, start, length) of w[i] == w[i+p] in (p, start)
-    order, as ``long_runs`` yields them, including every one at least
-    p + extra long; shorter ones hold no window. Without them, w takes the
-    packed path below ``_NUMPY_MIN`` letters and reads ``square_runs(w)``
-    above.
+    extra = 0 gives the squares, extra = 1 the minimal overlaps, both read
+    off ``square_runs(w)``: a run shorter than p + extra holds no window.
     """
-    n = len(w)
     out: dict[str, int] = {}
-    if runs is None and n < _NUMPY_MIN:
-        x = _packed(w)
-        low, high = _LOW7[n], _HIGH
-        y = x
-        for p in range(1, (n - extra) // 2 + 1):
-            y >>= 8
-            m = high[n - p] & ~((x ^ y) + low)
-            need = p + extra  # agreements in a row that make one such factor
-            if m.bit_count() < need:
-                continue
-            # keep field i only if fields i .. i + need - 1 all agree
-            k = 1
-            while m and k < need:
-                step = k if 2 * k <= need else need - k
-                m &= m >> (8 * step)
-                k += step
-            # a window p letters on in the same run repeats it
-            m &= ~(m << (8 * p))
-            length = 2 * p + extra
-            # highest field first, so the first occurrence's end is stored last
-            while m:
-                top = m.bit_length()
-                i = (top >> 3) - 1
-                out[w[i : i + length]] = i + length
-                m ^= 1 << (top - 1)
-        return out
-    for p, s, run in square_runs(w) if runs is None else runs:
+    for p, s, run in square_runs(w):
         length = 2 * p + extra
         # windows repeat with stride p inside a periodic run
         for e in range(s + length, s + length + min(p, run - p - extra + 1)):
@@ -334,24 +284,25 @@ def find_sq_t(w: str, t: int) -> Repetition | None:
 def max_exponent(w: str) -> tuple[Fraction, Repetition]:
     """Maximum exponent over all repetition factors, with a witness.
 
-    Ties pick the smallest start, then the smallest period.
+    Ties pick the smallest start, then the smallest period. A short word
+    with a square is read off ``square_runs``, any other word in two passes.
     """
     n = len(w)
     if n < 2:
         raise DomainError("max_exponent needs a word of length >= 2")
-    if n < _NUMPY_MIN:
-        return _short_max_exponent(w)
-    # any 11 letters over at most 10 hold a run of period <= 10, so the
-    # bound is at least 11/10 and the second pass samples about 10 n ln n
-    # positions; a run of period p reaches lo_num / lo_den when it is at
-    # least (lo_num - lo_den) p / lo_den long
-    lo_num, lo_den, _ = _best_run(long_runs(w, range(1, 11), lambda p: 1))
-    runs = long_runs(w, range(1, n), lambda p: -((lo_den - lo_num) * p // lo_den))
+    runs = square_runs(w) if n < _NUMPY_MIN else ()
+    if not runs:
+        # any 11 letters over at most 10 hold a run of period <= 10, so the
+        # bound is at least 11/10 and the second pass samples about 10 n ln n
+        # positions; a run of period p reaches lo_num / lo_den when it is at
+        # least (lo_num - lo_den) p / lo_den long
+        lo_num, lo_den, _ = _best_run(long_runs(w, range(1, 11), lambda p: 1))
+        runs = long_runs(w, range(1, n), lambda p: -((lo_den - lo_num) * p // lo_den))
     num, p, at = _best_run(runs)
     return Fraction(num, p), Repetition(at, p, num)
 
 
-def _best_run(runs: Iterator[tuple[int, int, int]]) -> tuple[int, int, int]:
+def _best_run(runs: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
     """(p + length, p, start) of the run of highest exponent (p + length) / p.
 
     Exponents are compared by cross-multiplication. Ties pick the smallest
@@ -365,36 +316,6 @@ def _best_run(runs: Iterator[tuple[int, int, int]]) -> tuple[int, int, int]:
         if lhs > rhs or (lhs == rhs and (s, p) < (at, den)):
             num, den, at = p + run, p, s
     return num, den, at
-
-
-def _short_max_exponent(w: str) -> tuple[Fraction, Repetition]:
-    """``max_exponent`` for 2 <= len(w) < ``_NUMPY_MIN``, on packed agreements."""
-    n = len(w)
-    x = _packed(w)
-    low, high = _LOW7[n], _HIGH
-    num, den = 1, 1
-    at, period = 0, 1
-    y = x
-    for p in range(1, n):
-        if n * den < num * p:
-            break
-        y >>= 8
-        m = high[n - p] & ~((x ^ y) + low)
-        # a run shorter than p (num - den) / den cannot reach the best exponent
-        if not m or m.bit_count() * den < p * (num - den):
-            continue
-        # after run - 1 steps, the fields left start a longest run
-        run = 1
-        t = m & (m >> 8)
-        while t:
-            m, run = t, run + 1
-            t = m & (m >> 8)
-        s = ((m & -m).bit_length() >> 3) - 1
-        lhs = (p + run) * den
-        rhs = num * p
-        if lhs > rhs or (lhs == rhs and (s, p) < (at, period)):
-            num, den, at, period = p + run, p, s, p
-    return Fraction(num, den), Repetition(at, period, num)  # den == period
 
 
 def _violation_length(e: Fraction, p: int, strict: bool) -> int:

@@ -107,6 +107,28 @@ def test_manifest_parse_errors(tmp_path):
         load_manifest(incomplete)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "name y", "constraints b3.cons", "target-inner 012/02/1", "target-outer 0/1/2",
+        "check-length 6", "horizon 6", "prefix 60", "expect-squares", "expect-overlaps",
+        "expect-occurrences AA 3", "code-pieces 0 1 2",
+    ],
+)
+def test_a_repeated_single_valued_manifest_directive_is_a_parse_error(tmp_path, line):
+    (tmp_path / "b3.cons").write_text("alphabet 3\nforbid-formula AA\n")
+    key = line.split()[0]
+    lines = [d for d in ("name x", "constraints b3.cons", "target-inner 012/02/1") if d.split()[0] != key]
+    lines += [line, "localizer 4 0", "localizer 4 1", "expect-avoids AAA", "expect-avoids ABABA"]
+    path = tmp_path / "m"
+    path.write_text("".join(d + "\n" for d in lines))
+    m = load_manifest(path)  # localizer and expect-avoids accumulate
+    assert len(m.localizers) == 2 and len(m.expect_avoids) == 2
+    path.write_text("".join(d + "\n" for d in lines + [line]))
+    with pytest.raises(ParseError, match=f"line {len(lines) + 1}:"):
+        load_manifest(path)
+
+
 def test_verify_characterization_passes_on_b3(manifest_dir):
     report = verify_characterization(load_manifest(os.path.join(manifest_dir, "b3")))
     assert report.passed

@@ -1,13 +1,18 @@
+import io
 import os
+import random
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
 
 from conftest import MANIFEST_DIR
 from wordlab.cli import main
 from wordlab.errors import WordlabError
+from wordlab.morphisms import fixed_point_prefix, morphic_prefix, parse_morphism
 
 
 def run(capsys, *argv):
@@ -136,6 +141,7 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
     assert out1.index("VERDICT first") < out1.index("VERDICT second")
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
 @pytest.mark.parametrize(
     "var, argv",
     [
@@ -143,10 +149,10 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
         ("WORDLAB_LETTER_BUDGET", ["generate", "--morphism", "012/02/1", "--length", "6"]),
     ],
 )
-def test_bad_budget_environment_values(manifest_dir, var, argv):
+def test_bad_budget_environment_values(manifest_dir, var, argv, value):
     argv = [os.path.join(manifest_dir, a) if a.endswith(".cons") else a for a in argv]
     src = os.path.join(os.path.dirname(manifest_dir), "src")
-    env = {**os.environ, var: "abc", "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = {**os.environ, var: value, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
         [sys.executable, "-m", "wordlab.cli", *argv], env=env, capture_output=True, text=True
     )
@@ -187,6 +193,44 @@ def test_verify_all_stdout_matches_the_golden_file():
         assert proc.stdout == fh.read()
 
 
+def repetitions_golden_words():
+    """(label, word) pairs the repetitions golden file pins: seeded random
+    words of 2-95 letters over 2, 3 and 10 letters, 012/02/1 prefixes on both
+    sides of the 96-letter switch and at 10 000 letters, and a g4 prefix."""
+    rng = random.Random(16)
+    for k in (2, 3, 10):
+        for n in range(2, 96):
+            yield f"random-{k}-{n}", "".join(rng.choice("0123456789"[:k]) for _ in range(n))
+    inner = parse_morphism("012/02/1")
+    for n in (95, 96, 10000):
+        yield f"012/02/1-{n}", fixed_point_prefix(inner, n)
+    g4 = parse_morphism("00010011000111011/000100111011/00111")
+    yield "g4-2000", morphic_prefix(g4, inner, 2000)
+
+
+def repetitions_golden_report() -> str:
+    """The stdout of ``wordlab squares``, ``overlaps`` and ``exponent`` on each
+    golden word, under a header naming the word and the command.
+
+    ``PYTHONPATH=src python tests/test_cli.py`` prints it, to rewrite
+    ``tests/repetitions.golden`` when the output is meant to change.
+    """
+    out = io.StringIO()
+    for label, w in repetitions_golden_words():
+        for command in ("squares", "overlaps", "exponent"):
+            out.write(f"== {command} {label}\n")
+            with mock.patch("sys.stdin", io.StringIO(w + "\n")), redirect_stdout(out):
+                assert main([command, "--stdin"]) == 0
+    return out.getvalue()
+
+
+def test_repetitions_stdout_matches_the_golden_file():
+    """The repetition inventories and exponents print the committed output, byte for byte."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "repetitions.golden")
+    with open(golden, encoding="ascii", newline="") as fh:
+        assert repetitions_golden_report() == fh.read()
+
+
 def test_python_dash_m_wordlab():
     proc = run_module("generate", "--morphism", "012/02/1", "--length", "6")
     assert proc.returncode == 0 and proc.stdout == "012021\n"
@@ -208,6 +252,9 @@ MALFORMED_FILES = {
     "bad-localizer": TINY_MANIFEST + "localizer 29 0O1\n",
     "bad-code-pieces": TINY_MANIFEST + "code-pieces 01 2x\n",
     "bad-expect-occurrences": TINY_MANIFEST + "expect-occurrences AA 3 0x0x\n",
+    "twice.cons": "alphabet 2\nmax-occurrences AA 0\nmax-occurrences ABBA 5\n",
+    "twice-prefix": TINY_MANIFEST + "prefix 60\n",
+    "0011.txt": "0011\n",
 }
 
 
@@ -242,6 +289,8 @@ MALFORMED_FILES = {
         (["verify", "--manifest", "bad-localizer"], 2),
         (["verify", "--manifest", "bad-code-pieces"], 2),
         (["verify", "--manifest", "bad-expect-occurrences"], 2),
+        (["check", "--constraints", "twice.cons", "--input", "0011.txt"], 2),
+        (["verify", "--manifest", "twice-prefix"], 2),
         (["extendable", "--constraints", "ok.cons", "--length", "3", "--budget-nodes", "0"], 2),
         (["counts", "--constraints", "ok.cons", "--max", "3", "--budget-nodes", "0"], 2),
         (["counts", "--constraints", "ok.cons", "--max", "3", "--budget-nodes", "-4"], 2),
@@ -293,3 +342,7 @@ def test_help_lists_each_command_options(capsys, command):
     code, out, _ = run(capsys, command, "--help")
     assert code == 0
     assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == HELP_OPTIONS[command] | {"--help"}
+
+
+if __name__ == "__main__":
+    sys.stdout.write(repetitions_golden_report())

@@ -78,6 +78,42 @@ def test_parse_constraints_errors():
         parse_constraints("alphabet 2\ngraph-edges\n")
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("alphabet 2", "alphabet 3"),
+        ("forbid-squares-min-period 3", "forbid-squares-min-period 4"),
+        ("max-distinct-squares 3", "max-distinct-squares 4"),
+        ("max-distinct-overlaps 1", "max-distinct-overlaps 2"),
+        # the second line would lift the budget that 0011 breaks
+        ("max-occurrences AA 0", "max-occurrences ABBA 5"),
+        # the second line would accept 000
+        ("exponent-cap 2 strict", "exponent-cap 3 strict"),
+        ("graph K3", "graph-edges 0-1"),
+        ("graph-edges 0-1", "graph K3"),
+        ("graph-edges 0-1", "graph-edges 1-0"),
+    ],
+)
+def test_a_repeated_single_valued_directive_is_a_parse_error(first, second):
+    text = f"{first}\nforbid-factor 22\n{second}\n"
+    if not first.startswith("alphabet"):
+        text = "alphabet 3\n" + text
+    last = text.count("\n")
+    with pytest.raises(ParseError, match=f"line {last}:"):
+        parse_constraints(text)
+
+
+def test_list_directives_accumulate():
+    c = parse_constraints(
+        "alphabet 2\nforbid-factor 000\nforbid-factor 111\nforbid-formula ABABA\n"
+        "forbid-formula AAAA\nallow-squares 00\nallow-squares 11\n"
+        "allow-overlaps 000\nallow-overlaps 111\n"
+    )
+    assert c.forbidden_factors == {"000", "111"}
+    assert len(c.forbidden_formulas) == 2
+    assert c.allowed_squares == {"00", "11"} and c.allowed_overlaps == {"000", "111"}
+
+
 def test_check_examples():
     c = parse_constraints("alphabet 3\nforbid-factor 010 212\nforbid-squares-min-period 1\n")
     v = check("0102012", c)

@@ -73,6 +73,9 @@ def test_fixed_point_prefix_examples():
         fixed_point_prefix(parse_morphism("01/"), 4)  # reachable erasing image
     with pytest.raises(ResourceBudgetError):
         fixed_point_prefix(HALL_THUE, 100, max_letters=10)
+    for budget in (0, -1):
+        with pytest.raises(DomainError, match="letter budget"):
+            fixed_point_prefix(HALL_THUE, 0, max_letters=budget)
 
 
 def test_morphic_prefix_examples():
@@ -86,6 +89,9 @@ def test_morphic_prefix_examples():
     assert morphic_prefix(parse_morphism("//1"), HALL_THUE, 4) == "1111"
     with pytest.raises(DomainError):
         morphic_prefix(parse_morphism("//"), HALL_THUE, 4)  # erases everything reachable
+    for budget in (0, -1):
+        with pytest.raises(DomainError, match="letter budget"):
+            morphic_prefix(g4, HALL_THUE, 0, max_letters=budget)
 
 
 def test_erase_letters_examples():

@@ -23,7 +23,6 @@ from wordlab.repetitions import (
     distinct_min_overlaps,
     distinct_squares,
     find_sq_t,
-    first_windows,
     format_exponent,
     is_exponent_free,
     long_runs,
@@ -122,9 +121,10 @@ def test_max_exponent_matches_oracle(w):
     assert all(u[i] == u[i + wit.period] for i in range(len(u) - wit.period))
 
 
-def test_packed_and_array_paths_match_oracles_at_the_switch():
-    # lengths 94..97 straddle the switch from packed ints to numpy arrays;
-    # ten letters give every byte difference the packed path can meet
+def test_letter_and_rank_paths_match_oracles_at_the_switch():
+    # lengths 94..97 straddle the switch of long_runs from extending letter by
+    # letter to rank-table queries, and of max_exponent from reading
+    # square_runs first to its two passes
     rng = random.Random(96)
     words = [("0110" * 30)[:n] for n in range(94, 98)] + [("0120" * 30)[:n] for n in range(94, 98)]
     for alphabet in ("01", "012", "0123456789"):
@@ -153,14 +153,6 @@ def test_cross_operation_invariants(w):
         if k:
             assert check(w, budget(k)) is None
             assert check(w, budget(k - 1)).kind == kind
-
-
-@given(st.one_of(binary, ternary))
-def test_first_windows_packed_path_matches_runs(w):
-    """Below 96 letters the packed path gives the runs path's first ends."""
-    for extra in (0, 1):
-        runs = long_runs(w, range(1, (len(w) - extra) // 2 + 1), lambda p: p + extra)
-        assert first_windows(w, extra) == first_windows(w, extra, runs)
 
 
 @given(binary, st.fractions(min_value=Fraction(11, 10), max_value=Fraction(4)))
@@ -210,6 +202,43 @@ def test_long_runs_match_period_scan(min_len, w):
 
 
 THUE = fixed_point_prefix(parse_morphism("012/02/1"), 120)
+
+
+def test_max_exponent_on_square_free_words_matches_oracles():
+    """Square-free words take max_exponent's two passes at every length; random
+    words of 10 letters or more almost always hold a square."""
+    thue = fixed_point_prefix(parse_morphism("012/02/1"), 260)
+    words = [thue[:n] for n in range(2, 201)]
+    words += [thue[:n].translate(str.maketrans("012", "201")) for n in range(2, 201, 7)]
+    words += [thue[i : i + 90] for i in range(1, 170, 13)]
+    for w in words:
+        assert distinct_squares(w) == set()
+        exp, wit = max_exponent(w)
+        assert (exp, wit.start, wit.period) == naive_max_exponent(w) == scan_max_exponent(w)
+
+
+def test_max_exponent_passes(monkeypatch):
+    """A short word with a square reads the runs the inventories left behind;
+    a long square-free word makes the bound and threshold passes only."""
+    import wordlab.repetitions as repetitions
+
+    calls = []
+    real = repetitions.long_runs
+
+    def counted(w, periods, min_len):
+        calls.append(periods)
+        return real(w, periods, min_len)
+
+    monkeypatch.setattr(repetitions, "long_runs", counted)
+    w = "0120" + THUE[:60]
+    distinct_squares(w)
+    calls.clear()
+    assert max_exponent(w)[0] == naive_max_exponent(w)[0] == 2
+    assert calls == []
+    long = fixed_point_prefix(parse_morphism("012/02/1"), 1000)
+    exp, wit = max_exponent(long)
+    assert calls == [range(1, 11), range(1, 1000)]
+    assert (exp, wit.start, wit.period) == scan_max_exponent(long)
 
 
 @settings(max_examples=50)
