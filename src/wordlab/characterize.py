@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .constraints import ConstraintSet, check, load_constraints
 from .errors import DomainError, ParseError, ResourceBudgetError
 from .formulas import Formula, avoids, find_occurrences, fragment_images, parse_formula
-from .morphisms import Morphism, apply, fixed_point_prefix, morphic_prefix, parse_morphism
+from .morphisms import DEFAULT_LETTER_BUDGET, Morphism, fixed_point_prefix, morphic_prefix, parse_morphism
 from .repetitions import distinct_min_overlaps, distinct_squares
 from .search import DEFAULT_NODE_BUDGET, extendable_set
 from .words import factors, validate_word
@@ -283,18 +283,22 @@ def _set_diff_detail(left: set[str], right: set[str], lname: str, rname: str) ->
 
 
 def verify_characterization(
-    m: TheoremManifest, budget_nodes: int = DEFAULT_NODE_BUDGET
+    m: TheoremManifest,
+    budget_nodes: int = DEFAULT_NODE_BUDGET,
+    max_letters: int = DEFAULT_LETTER_BUDGET,
 ) -> Report:
     """Run all checks of a manifest: constraint check of the target prefix,
-    extendable-set equality at the check length, and the extra checks."""
+    extendable-set equality at the check length, and the extra checks.
+
+    ``max_letters`` bounds the letters generated for the target prefix."""
     report = Report(m.name)
     L = m.check_length
     h = m.resolved_horizon()
     N = m.resolved_prefix()
     if m.outer is not None:
-        prefix = morphic_prefix(m.outer, m.inner, N)
+        prefix = morphic_prefix(m.outer, m.inner, N, max_letters=max_letters)
     else:
-        prefix = fixed_point_prefix(m.inner, N)
+        prefix = fixed_point_prefix(m.inner, N, max_letters=max_letters)
     if len(prefix) < L:
         report.results.append(
             CheckResult("prefix-length", False, f"prefix has {len(prefix)} < L={L} letters")

@@ -99,12 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     inner = morphisms.parse_morphism(args.morphism)
-    budget = _env_budget(ENV_LETTER_BUDGET, morphisms.DEFAULT_LETTER_BUDGET)
     if args.outer:
         outer = morphisms.parse_morphism(args.outer)
-        word = morphisms.morphic_prefix(outer, inner, args.length, max_letters=budget)
+        word = morphisms.morphic_prefix(outer, inner, args.length, max_letters=args.max_letters)
     else:
-        word = morphisms.fixed_point_prefix(inner, args.length, max_letters=budget)
+        word = morphisms.fixed_point_prefix(inner, args.length, max_letters=args.max_letters)
     print(word)
     return 0
 
@@ -182,7 +181,9 @@ def _cmd_verify(args) -> int:
     all_pass = True
     for path in paths:
         manifest = characterize.load_manifest(path)
-        report = characterize.verify_characterization(manifest, budget_nodes=args.budget_nodes)
+        report = characterize.verify_characterization(
+            manifest, budget_nodes=args.budget_nodes, max_letters=args.max_letters
+        )
         for line in report.lines():
             print(line)
         all_pass = all_pass and report.passed
@@ -213,6 +214,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "budget_nodes") and args.budget_nodes is None:
             args.budget_nodes = _env_budget(ENV_NODE_BUDGET, search.DEFAULT_NODE_BUDGET)
+        if args.command in ("generate", "verify", "verify-all"):
+            args.max_letters = _env_budget(ENV_LETTER_BUDGET, morphisms.DEFAULT_LETTER_BUDGET)
         return _DISPATCH[args.command](args)
     except ResourceBudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

@@ -21,8 +21,10 @@ block, such as the BCBC of ABCBC, the same split of each square there.
 last letter: a formula made only of root blocks on the roots that letter
 added, through the same routine, and any other on fragment images ending
 there (``_anchored``). Roots, periods and runs come from one index with two
-producers: ``WordPowers`` makes one ``repetitions.long_runs`` pass over a
-whole word per run threshold m(p) = a p + b, and ``PowerStack`` is kept up
+producers: ``WordPowers`` reads a whole word's runs per run threshold
+m(p) = a p + b, those for a = 1 (squares, doubled blocks, ABAB roots,
+ABABA tails) off ``repetitions.square_runs`` and any other from a
+``repetitions.long_runs`` pass of its own, and ``PowerStack`` is kept up
 to date by the search, one letter at a time.
 """
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, ParseError, ResourceBudgetError
-from .repetitions import SuffixRuns, long_runs
+from .repetitions import SuffixRuns, long_runs, square_runs
 
 # Larger patterns blow up combinatorially; use find_sq_t or a localizer
 # reduction instead of SQ_7+ as a literal pattern.
@@ -221,8 +223,8 @@ class WordPowers:
     Every run the engine reads is a maximal run of w[i] == w[i+p] at least
     m(p) = a p + b long: (k - 1) g for the k-powers of period g, P for the
     doubled blocks uu with |u| = P, (q - 1) G + r for the periodic blocks of
-    q G + r letters. Each (a, b) is one ``long_runs`` pass over the word,
-    made when first asked for and kept indexed by period. This is the batch
+    q G + r letters. Each (a, b) is read when first asked for and kept
+    indexed by period; ``runs`` says from which pass. This is the batch
     producer of the power index that ``_Engine`` reads; the search keeps the
     same three queries up to date letter by letter in ``PowerStack``.
     """
@@ -234,12 +236,23 @@ class WordPowers:
         self._roots: dict[int, frozenset[bytes]] = {}
 
     def runs(self, a: int, b: int) -> dict[int, list[tuple[int, int]]]:
-        """Period p -> maximal runs (start, length >= a p + b), both ascending."""
+        """Period p -> maximal runs (start, length >= a p + b), both ascending.
+
+        For a = 1 these are the ``square_runs(w)`` at least p + b long, so
+        ``check``, the inventories and every engine on one word share one
+        pass. A cube or higher index (a >= 2) makes its own ``long_runs``
+        pass: sampling every (a p + b)-th position costs less than a full
+        square pass on a word whose square runs are not memoised. So does
+        a = 0, the q = 1 tails of ABA and ABCAB: they need runs shorter
+        than p, which ``square_runs`` does not hold.
+        """
         index = self._runs.get((a, b))
         if index is None:
             index = {}
-            for p, s, run in long_runs(self.w.decode("ascii"), range(1, self.n), lambda p: a * p + b):
-                index.setdefault(p, []).append((s, run))
+            w, m = self.w.decode("ascii"), lambda p: a * p + b
+            for p, s, run in square_runs(w) if a == 1 else long_runs(w, range(1, self.n), m):
+                if run >= m(p):
+                    index.setdefault(p, []).append((s, run))
             self._runs[(a, b)] = index
         return index
 

@@ -15,9 +15,11 @@ A square and a minimal overlap of period p are the windows of length 2p
 and 2p + 1 that a run covers; ``first_windows`` gives each distinct one with
 the end of its first occurrence, for the inventories and for ``check``.
 A run at least p + 1 long is also at least p long, so one pass with
-m(p) = p, ``square_runs``, holds every run either family reads. It keeps the
-runs of the last word it was asked about, so ``check`` and the two
-inventories on one word share a single pass.
+m(p) = p, ``square_runs``, holds every run either family reads, and every
+run at least p + b long that the formula engine's square index reads
+(``formulas.WordPowers.runs`` with m(p) = p + b). It keeps the runs of the
+last word it was asked about, so ``check``, the two inventories and the
+formula searches on one word share a single pass.
 
 A run at least p long has exponent at least 2 and beats every shorter run,
 so a word with a square has its highest exponent, ties included, among its
@@ -238,8 +240,9 @@ def _thresholds(m: Callable, periods: np.ndarray, lo: int, hi: int) -> np.ndarra
 def square_runs(w: str) -> tuple[tuple[int, int, int], ...]:
     """The maximal runs (p, start, length) of w[i] == w[i+p] at least p long, in (p, start) order.
 
-    They hold every square and every minimal overlap of w. The last word's
-    runs are kept, so ``check`` and the two inventories on one word make one
+    They hold every square and every minimal overlap of w, and the formula
+    engine's square index. The last word's runs are kept, so ``check``, the
+    two inventories and the formula searches on one word make one
     ``long_runs`` pass between them.
     """
     return tuple(long_runs(w, range(1, len(w) // 2 + 1), lambda p: p))

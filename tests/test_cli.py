@@ -4,12 +4,14 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from unittest import mock
 
 import pytest
 
 from conftest import MANIFEST_DIR
+from test_formulas import DOUBLED_BLOCK_FORMULAS, FORMULAS, ROOT_FORMULAS
 from wordlab.cli import main
 from wordlab.errors import WordlabError
 from wordlab.morphisms import fixed_point_prefix, morphic_prefix, parse_morphism
@@ -147,10 +149,11 @@ def test_verify_all_is_deterministic(tmp_path, capsys):
     [
         ("WORDLAB_NODE_BUDGET", ["search", "--constraints", "b3.cons", "--budget-length", "10"]),
         ("WORDLAB_LETTER_BUDGET", ["generate", "--morphism", "012/02/1", "--length", "6"]),
+        ("WORDLAB_LETTER_BUDGET", ["verify", "--manifest", "fib"]),
     ],
 )
 def test_bad_budget_environment_values(manifest_dir, var, argv, value):
-    argv = [os.path.join(manifest_dir, a) if a.endswith(".cons") else a for a in argv]
+    argv = [os.path.join(manifest_dir, a) if a.endswith(".cons") or a == "fib" else a for a in argv]
     src = os.path.join(os.path.dirname(manifest_dir), "src")
     env = {**os.environ, var: value, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
@@ -159,6 +162,15 @@ def test_bad_budget_environment_values(manifest_dir, var, argv, value):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and var in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, where", [("verify", "--manifest"), ("verify-all", "--dir")])
+def test_letter_budget_bounds_the_target_prefix(manifest_dir, capsys, monkeypatch, command, where):
+    """fib's 10 000-letter prefix exceeds a 1 000-letter budget: exit 3, as for ``generate``."""
+    monkeypatch.setenv("WORDLAB_LETTER_BUDGET", "1000")
+    path = os.path.join(manifest_dir, "fib") if command == "verify" else manifest_dir
+    code, _, err = run(capsys, command, where, path)
+    assert code == 3 and err.startswith("budget exceeded")
 
 
 def test_internal_disagreement_exit_code(tmp_path, capsys, monkeypatch):
@@ -229,6 +241,63 @@ def test_repetitions_stdout_matches_the_golden_file():
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "repetitions.golden")
     with open(golden, encoding="ascii", newline="") as fh:
         assert repetitions_golden_report() == fh.read()
+
+
+def formulas_golden_words():
+    """(label, alphabet size, word) triples the formulas golden file pins:
+    seeded random binary and ternary words of 2-30 letters, and the 200-letter
+    prefixes of the 012/02/1 and 01/00 fixed points."""
+    rng = random.Random(17)
+    for k in (2, 3):
+        for n in range(2, 31, 5):
+            yield f"random-{k}-{n}", k, "".join(rng.choice("012"[:k]) for _ in range(n))
+    for inner, k in (("012/02/1", 3), ("01/00", 2)):
+        yield f"{inner}-200", k, fixed_point_prefix(parse_morphism(inner), 200)
+
+
+# check lines left out of the formulas golden file: on the 012/02/1 prefix each
+# of these formulas takes 8-10 s to find no occurrence, every split of the
+# AB fragment being tried before the other fragment
+SLOW_GOLDEN_CHECKS = {("AB.BABAC", "012/02/1-200"), ("AB.ACABCAB", "012/02/1-200")}
+
+
+def formulas_golden_report() -> str:
+    """The stdout of ``wordlab check`` under ``alphabet k`` and ``forbid-formula f``
+    and of ``wordlab match --cap 3``, for each golden word and each formula of
+    the formula tests plus AA.BCB and ABCABC.ABA, under a header naming both
+    (no check line for ``SLOW_GOLDEN_CHECKS``).
+
+    The check line holds the ``first_occurrence`` witness, so it pins the
+    order in which the engine meets candidates. ``PYTHONPATH=src python
+    tests/test_cli.py formulas`` prints it, to rewrite ``tests/formulas.golden``
+    when the output is meant to change.
+    """
+    fs = dict.fromkeys(str(f) for f in FORMULAS + DOUBLED_BLOCK_FORMULAS + ROOT_FORMULAS)
+    fs = list(fs) + ["AA.BCB", "ABCABC.ABA"]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, k, w in formulas_golden_words():
+            for f in fs:
+                cons = os.path.join(tmp, f"{k}-{f}.cons")
+                if not os.path.exists(cons):
+                    with open(cons, "w", encoding="ascii") as fh:
+                        fh.write(f"alphabet {k}\nforbid-formula {f}\n")
+                out.write(f"== {f} {label}\n")
+                commands = []
+                if (f, label) not in SLOW_GOLDEN_CHECKS:
+                    commands.append((["check", "--constraints", cons, "--stdin"], (0, 1)))
+                commands.append((["match", "--formula", f, "--cap", "3", "--stdin"], (0,)))
+                for argv, codes in commands:
+                    with mock.patch("sys.stdin", io.StringIO(w + "\n")), redirect_stdout(out):
+                        assert main(argv) in codes
+    return out.getvalue()
+
+
+def test_formulas_stdout_matches_the_golden_file():
+    """Formula checks and matches print the committed output, byte for byte."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "formulas.golden")
+    with open(golden, encoding="ascii", newline="") as fh:
+        assert formulas_golden_report() == fh.read()
 
 
 def test_python_dash_m_wordlab():
@@ -345,4 +414,5 @@ def test_help_lists_each_command_options(capsys, command):
 
 
 if __name__ == "__main__":
-    sys.stdout.write(repetitions_golden_report())
+    report = formulas_golden_report if sys.argv[1:] == ["formulas"] else repetitions_golden_report
+    sys.stdout.write(report())

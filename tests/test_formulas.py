@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import mutated_periodic
 from oracles import naive_has_occurrence, naive_occurrences
 from period_scan import scan_power_roots
-from wordlab import formulas
+from wordlab import formulas, repetitions
 from wordlab.errors import DomainError, ParseError
 from wordlab.formulas import (
     Formula,
@@ -22,7 +22,7 @@ from wordlab.formulas import (
     parse_formula,
 )
 from wordlab.morphisms import fixed_point_prefix, parse_morphism
-from wordlab.repetitions import SuffixRuns, distinct_squares
+from wordlab.repetitions import SuffixRuns, distinct_squares, long_runs
 
 binary = st.text(alphabet="01", max_size=40)
 
@@ -214,9 +214,9 @@ def test_power_stack_matches_whole_word_powers(ops):
 @settings(max_examples=25)
 @given(
     st.one_of(
-        st.text(alphabet="01", min_size=96, max_size=400),
-        st.text(alphabet="012", min_size=96, max_size=400),
-        mutated_periodic(96, 400),
+        st.text(alphabet="01", min_size=1, max_size=400),
+        st.text(alphabet="012", min_size=1, max_size=400),
+        mutated_periodic(1, 400),
     )
 )
 def test_word_powers_match_period_scan(w):
@@ -227,6 +227,38 @@ def test_word_powers_match_period_scan(w):
         assert word.roots(k) == {x.encode() for roots in by_period.values() for x in roots}
         for g, roots in by_period.items():
             assert [x.decode() for x in word.roots_of_period(k, g)] == roots
+    # the a = 1 indexes are read off square_runs, the others from their own pass
+    for a in range(4):
+        for b in range(3) if a else (1, 2):
+            want = {}
+            for p, s, run in long_runs(w, range(1, len(w)), lambda p: a * p + b):
+                want.setdefault(p, []).append((s, run))
+            assert word.runs(a, b) == want, (a, b)
+
+
+@pytest.mark.parametrize("n", [60, 300])
+def test_one_square_pass_per_word(monkeypatch, n):
+    """After ``distinct_squares(w)`` every search reading square runs, with or
+    without a tail, finds them in the memo of ``square_runs``; the cube and
+    q = 1 tail indexes make one pass of their own per search."""
+    calls = []
+    real = repetitions.long_runs
+
+    def counted(w, periods, min_len):
+        calls.append(periods)
+        return real(w, periods, min_len)
+
+    monkeypatch.setattr(repetitions, "long_runs", counted)
+    monkeypatch.setattr(formulas, "long_runs", counted)
+    w = fixed_point_prefix(parse_morphism("01/00"), n)
+    distinct_squares(w)
+    for text in ("AA", "ABBA", "AA.BB", "ABAB", "ABABA", "AAA", "ABA"):
+        f = parse_formula(text)
+        passes = 1 if text in ("AAA", "ABA") else 0
+        for search in (lambda: find_occurrences(w, f, 6), lambda: has_occurrence(w, f)):
+            calls.clear()
+            assert search()
+            assert len(calls) == passes, (text, calls)
 
 
 def _stacked_prefixes(w, f):
