@@ -14,13 +14,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .constraints import ConstraintSet, check, load_constraints
-from .errors import DomainError, ParseError, ResourceBudgetError
+from .constraints import ConstraintSet, check, load_constraints, one, read_directives, some
+from .errors import DomainError, ParseError
 from .formulas import Formula, avoids, find_occurrences, fragment_images, parse_formula
 from .morphisms import DEFAULT_LETTER_BUDGET, Morphism, fixed_point_prefix, morphic_prefix, parse_morphism
 from .repetitions import distinct_min_overlaps, distinct_squares
 from .search import DEFAULT_NODE_BUDGET, extendable_set
-from .words import factors, validate_word
+from .words import factors, parse_word
 
 BOUNDED_SCALE_NOTE = (
     "bounded-scale substitute: equality of extendable sets with prefix factors at one "
@@ -156,119 +156,74 @@ def code_factor_membership(v: str, pieces) -> bool:
 # manifest files
 
 
-def _digit_words(ws: list[str]) -> list[str]:
-    for u in ws:
-        validate_word(u)
-    return ws
+def _flag(args) -> bool:
+    if args:
+        raise ParseError(f"takes no arguments, got {len(args)}")
+    return True
 
 
-# Directives that set one value: a second one would silently replace the first.
-_ONE_VALUE = frozenset({
-    "name", "constraints", "target-inner", "target-outer", "check-length", "horizon", "prefix",
-    "expect-squares", "expect-overlaps", "expect-occurrences", "code-pieces",
-})
+def _localizer(args) -> tuple[Localizer]:
+    if not 2 <= len(args) <= 4:
+        raise ParseError(f"takes 2 to 4 arguments, got {len(args)}")
+    k, u, pat, plen = args + [None] * (4 - len(args))
+    pattern = None if pat is None else parse_formula(pat)
+    return (Localizer(int(k), parse_word(u), pattern, None if plen is None else int(plen)),)
+
+
+def _code_pieces(args) -> tuple[str, ...]:
+    # from-target-outer: load_manifest reads the pieces off target-outer
+    return tuple(args) if args == ["from-target-outer"] else some(parse_word)(args)
+
+
+def _expected_occurrences(args) -> tuple[Formula, int, frozenset[str]]:
+    ftok, captok, *images = args
+    return parse_formula(ftok), int(captok), frozenset(map(parse_word, images))
+
+
+# slots are TheoremManifest fields; load_manifest adds "constraints"
+_MANIFEST_DIRECTIVES = {
+    "name": ("name", one(str), False),
+    "target-inner": ("inner", one(parse_morphism), False),
+    "target-outer": ("outer", one(parse_morphism), False),
+    "check-length": ("check_length", one(int), False),
+    "horizon": ("horizon", one(int), False),
+    "prefix": ("prefix_length", one(int), False),
+    "expect-squares": ("expect_squares", lambda args: frozenset(map(parse_word, args)), False),
+    "expect-overlaps": ("expect_overlaps", lambda args: frozenset(map(parse_word, args)), False),
+    "expect-overlaps-derived": ("overlaps_derived", _flag, False),
+    "localizer": ("localizers", _localizer, True),
+    "code-pieces": ("code_pieces", _code_pieces, False),
+    "expect-occurrences": ("expect_occurrences", _expected_occurrences, False),
+    "expect-avoids": ("expect_avoids", some(parse_formula), True),
+}
 
 
 def load_manifest(path) -> TheoremManifest:
-    base = os.path.dirname(os.fspath(path))
-    name = None
-    constraints = None
-    inner = None
-    outer = None
-    check_length = 20
-    horizon = None
-    prefix = None
-    expect_sq = None
-    expect_ov = None
-    ov_derived = False
-    localizers: list[Localizer] = []
-    code_pieces = None
-    expect_occ = None
-    expect_avoids: list[Formula] = []
-    seen: set[str] = set()
+    """The theorem manifest in a file (``constraints.read_directives``).
 
+    ``name``, ``constraints`` (a constraint file, relative to the manifest's
+    directory) and ``target-inner`` are required; ``localizer`` and
+    ``expect-avoids`` lines add up, in file order. A ``prefix`` shorter than
+    the check length is an error naming its line.
+    """
+    base = os.path.dirname(os.fspath(path))
+    cons = one(lambda rel: load_constraints(os.path.join(base, rel)))
+    spec = {**_MANIFEST_DIRECTIVES, "constraints": ("constraints", cons, False)}
     with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            key, args = parts[0], parts[1:]
-            try:
-                if key in seen:
-                    raise ParseError(f"{key!r} would replace an earlier {key!r} line")
-                if key in _ONE_VALUE:
-                    seen.add(key)
-                if key == "name":
-                    (name,) = args
-                elif key == "constraints":
-                    (rel,) = args
-                    constraints = load_constraints(os.path.join(base, rel))
-                elif key == "target-inner":
-                    (tok,) = args
-                    inner = parse_morphism(tok)
-                elif key == "target-outer":
-                    (tok,) = args
-                    outer = parse_morphism(tok)
-                elif key == "check-length":
-                    (tok,) = args
-                    check_length = int(tok)
-                elif key == "horizon":
-                    (tok,) = args
-                    horizon = int(tok)
-                elif key == "prefix":
-                    (tok,) = args
-                    prefix = int(tok)
-                elif key == "expect-squares":
-                    expect_sq = frozenset(_digit_words(args))
-                elif key == "expect-overlaps":
-                    expect_ov = frozenset(_digit_words(args))
-                elif key == "expect-overlaps-derived":
-                    ov_derived = True
-                elif key == "localizer":
-                    if not 2 <= len(args) <= 4:
-                        raise ParseError(f"localizer takes 2 to 4 arguments, got {len(args)}")
-                    k, u, pat, plen = args + [None] * (4 - len(args))
-                    validate_word(u)
-                    pattern = None if pat is None else parse_formula(pat)
-                    plen = None if plen is None else int(plen)
-                    localizers.append(Localizer(int(k), u, pattern, plen))
-                elif key == "code-pieces":
-                    if args == ["from-target-outer"]:
-                        code_pieces = ("from-target-outer",)
-                    else:
-                        code_pieces = tuple(_digit_words(args))
-                elif key == "expect-occurrences":
-                    ftok, captok, *images = args
-                    expect_occ = (parse_formula(ftok), int(captok), frozenset(_digit_words(images)))
-                elif key == "expect-avoids":
-                    expect_avoids.extend(parse_formula(a) for a in args)
-                else:
-                    raise ParseError(f"unknown directive {key!r}")
-            except (ValueError, ParseError) as e:
-                raise ParseError(f"manifest line {ln}: {e}") from e
-    if name is None or constraints is None or inner is None:
+        d, line_of = read_directives(fh, "manifest", spec)
+    if not {"name", "constraints", "inner"} <= d.keys():
         raise ParseError("manifest needs at least 'name', 'constraints' and 'target-inner'")
-    if code_pieces == ("from-target-outer",):
-        if outer is None:
+    if d.get("code_pieces") == ("from-target-outer",):
+        if "outer" not in d:
             raise ParseError("code-pieces from-target-outer needs target-outer")
-        code_pieces = tuple(sorted({img for img in outer.images if img}))
-    return TheoremManifest(
-        name=name,
-        constraints=constraints,
-        inner=inner,
-        outer=outer,
-        check_length=check_length,
-        horizon=horizon,
-        prefix_length=prefix,
-        expect_squares=expect_sq,
-        expect_overlaps=expect_ov,
-        overlaps_derived=ov_derived,
-        localizers=tuple(localizers),
-        code_pieces=code_pieces,
-        expect_occurrences=expect_occ,
-        expect_avoids=tuple(expect_avoids),
-    )
+        d["code_pieces"] = tuple(sorted({img for img in d["outer"].images if img}))
+    m = TheoremManifest(**d)
+    if m.resolved_prefix() < m.check_length:
+        raise ParseError(
+            f"manifest line {line_of['prefix_length']}: prefix: "
+            f"{m.prefix_length} letters hold no factor of length {m.check_length}"
+        )
+    return m
 
 
 def _set_diff_detail(left: set[str], right: set[str], lname: str, rname: str) -> str:
@@ -299,11 +254,6 @@ def verify_characterization(
         prefix = morphic_prefix(m.outer, m.inner, N, max_letters=max_letters)
     else:
         prefix = fixed_point_prefix(m.inner, N, max_letters=max_letters)
-    if len(prefix) < L:
-        report.results.append(
-            CheckResult("prefix-length", False, f"prefix has {len(prefix)} < L={L} letters")
-        )
-        return report
 
     violation = check(prefix, m.constraints)
     # the inventories read the runs pass check leaves in square_runs' memo, which

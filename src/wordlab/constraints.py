@@ -1,17 +1,17 @@
 """Declarative avoidance constraint sets, file format, and whole-word checking.
 
-Constraint files are line-oriented: ``alphabet 2``, ``forbid-factor 010``,
+Constraint files are directive files (``read_directives``, whose grammar
+theorem manifests share): ``alphabet 2``, ``forbid-factor 010``,
 ``forbid-formula AA.ABAB.BB``, ``forbid-squares-min-period 4``,
 ``allow-squares 00 11``, ``allow-overlaps 01010``, ``max-distinct-squares 11``,
 ``max-distinct-overlaps 2``, ``max-occurrences ABBA 8``,
 ``exponent-cap 5/3 strict``, ``graph P5`` / ``graph-edges 0-1 1-2 2-2``.
-Blank lines and ``#`` comments are ignored; unknown directives are errors.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import AlphabetError, DomainError, ParseError
@@ -208,111 +208,128 @@ class Violation:
         return f"{msg} ({self.detail})" if self.detail else msg
 
 
-# Directives that set one value (graph-edges sets the graph): a second one
-# would silently replace the first.
-_ONE_VALUE = frozenset({
-    "alphabet", "forbid-squares-min-period", "max-distinct-squares", "max-distinct-overlaps",
-    "max-occurrences", "exponent-cap", "graph",
-})
+# ---------------------------------------------------------------------------
+# directive files
+
+
+def one(convert):
+    """Arity helper for ``read_directives``: exactly one argument, converted."""
+    def read(args):
+        if len(args) != 1:
+            raise ParseError(f"takes one argument, got {len(args)}")
+        return convert(args[0])
+    return read
+
+
+def some(convert):
+    """Arity helper for ``read_directives``: at least one argument, each converted."""
+    def read(args):
+        if not args:
+            raise ParseError("needs at least one argument")
+        return tuple(map(convert, args))
+    return read
+
+
+def read_directives(lines, where: str, spec: dict) -> tuple[dict, dict]:
+    """The values of a directive file's lines, by slot, and the line of each slot.
+
+    The grammar that constraint files and theorem manifests share: a ``#``
+    starts a comment, blank lines are skipped, and every other line is
+    ``key arg ...``. ``spec`` maps each key to ``(slot, convert, repeats)``;
+    ``convert`` turns the line's argument list into its value, raising
+    ParseError, DomainError or ValueError when the arguments are malformed. A repeating
+    slot joins the items of its lines' values in file order, in a tuple, and
+    its line is the last; any other slot takes one line, whichever of its
+    keys that line uses (``graph`` and ``graph-edges`` fill one slot), as a
+    second line would silently replace the first. A slot with no line is
+    absent from both dicts. Unknown keys are errors, and every error is a
+    ParseError that starts ``{where} line N:``.
+    """
+    values: dict = {}
+    line_of: dict = {}
+    for ln, raw in enumerate(lines, 1):
+        words = raw.split("#", 1)[0].split()
+        if not words:
+            continue
+        key, args = words[0], words[1:]
+        try:
+            if key not in spec:
+                raise ParseError("unknown directive")
+            slot, convert, repeats = spec[key]
+            if repeats:
+                values[slot] = values.get(slot, ()) + tuple(convert(args))
+            elif slot in values:
+                raise ParseError(f"would replace line {line_of[slot]}")
+            else:
+                values[slot] = convert(args)
+        except (ValueError, ParseError, DomainError) as e:
+            raise ParseError(f"{where} line {ln}: {key}: {e}") from e
+        line_of[slot] = ln
+    return values, line_of
+
+
+def _exponent_cap(args) -> tuple[Fraction, bool]:
+    etok, mode = args if len(args) != 1 else (args[0], "strict")
+    if mode not in ("strict", "weak"):
+        raise ParseError("mode must be 'strict' or 'weak'")
+    num, den = etok.split("/") if "/" in etok else (etok, "1")
+    if int(den) == 0:
+        raise ParseError(f"{etok} has a zero denominator")
+    return Fraction(int(num), int(den)), mode == "strict"
+
+
+def _occurrence_budget(args) -> tuple[Formula, int]:
+    ftok, ntok = args
+    return parse_formula(ftok), int(ntok)
+
+
+def _edge(tok: str) -> tuple[int, int]:
+    a, b = tok.split("-")
+    return int(a), int(b)
+
+
+def _graph_edges(args) -> LabelledGraph:
+    """The graph on the edges' vertices; ``parse_constraints`` adds the rest."""
+    pairs = some(_edge)(args)
+    return graph_from_edges(max(map(max, pairs)) + 1, pairs)
+
+
+# slots are ConstraintSet fields
+_CONSTRAINT_DIRECTIVES = {
+    "alphabet": ("alphabet_size", one(int), False),
+    "forbid-factor": ("forbidden_factors", some(str), True),
+    "forbid-formula": ("forbidden_formulas", some(parse_formula), True),
+    "forbid-squares-min-period": ("sq_min_period", one(int), False),
+    "allow-squares": ("allowed_squares", tuple, True),
+    "allow-overlaps": ("allowed_overlaps", tuple, True),
+    "max-distinct-squares": ("max_square_count", one(int), False),
+    "max-distinct-overlaps": ("max_overlap_count", one(int), False),
+    "max-occurrences": ("occurrence_budget", _occurrence_budget, False),
+    "exponent-cap": ("exponent_cap", _exponent_cap, False),
+    "graph": ("graph", one(builtin_graph), False),
+    "graph-edges": ("graph", _graph_edges, False),
+}
 
 
 def parse_constraints(text: str) -> ConstraintSet:
-    alphabet: int | None = None
-    factors: set[str] = set()
-    formulas: list[Formula] = []
-    sq_min: int | None = None
-    allow_sq: set[str] | None = None
-    allow_ov: set[str] | None = None
-    max_sq: int | None = None
-    max_ov: int | None = None
-    occ: tuple[Formula, int] | None = None
-    exp: tuple[Fraction, bool] | None = None
-    graph: LabelledGraph | None = None
-    seen: set[str] = set()
+    """The constraint set a constraint file's text declares (``read_directives``).
 
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key, args = parts[0], parts[1:]
-        try:
-            slot = "graph" if key == "graph-edges" else key
-            if slot in seen:
-                raise ParseError(f"{key!r} would replace an earlier {slot!r} line")
-            if slot in _ONE_VALUE:
-                seen.add(slot)
-            if key == "alphabet":
-                (tok,) = args
-                alphabet = int(tok)
-            elif key == "forbid-factor":
-                if not args:
-                    raise ParseError("forbid-factor needs at least one factor")
-                factors.update(args)
-            elif key == "forbid-formula":
-                if not args:
-                    raise ParseError("forbid-formula needs at least one formula")
-                formulas.extend(parse_formula(a) for a in args)
-            elif key == "forbid-squares-min-period":
-                (tok,) = args
-                sq_min = int(tok)
-            elif key == "allow-squares":
-                allow_sq = set(args) if allow_sq is None else allow_sq | set(args)
-            elif key == "allow-overlaps":
-                allow_ov = set(args) if allow_ov is None else allow_ov | set(args)
-            elif key == "max-distinct-squares":
-                (tok,) = args
-                max_sq = int(tok)
-            elif key == "max-distinct-overlaps":
-                (tok,) = args
-                max_ov = int(tok)
-            elif key == "max-occurrences":
-                ftok, ntok = args
-                occ = (parse_formula(ftok), int(ntok))
-            elif key == "exponent-cap":
-                if len(args) == 1:
-                    etok, mode = args[0], "strict"
-                else:
-                    etok, mode = args
-                if mode not in ("strict", "weak"):
-                    raise ParseError("exponent-cap mode must be 'strict' or 'weak'")
-                num, den = etok.split("/") if "/" in etok else (etok, "1")
-                if int(den) == 0:
-                    raise ParseError(f"exponent-cap {etok} has a zero denominator")
-                exp = (Fraction(int(num), int(den)), mode == "strict")
-            elif key == "graph":
-                (tok,) = args
-                graph = builtin_graph(tok)
-            elif key == "graph-edges":
-                if not args:
-                    raise ParseError("graph-edges needs at least one edge")
-                pairs = []
-                for tok in args:
-                    a, b = tok.split("-")
-                    pairs.append((int(a), int(b)))
-                top = max(max(a, b) for a, b in pairs) + 1
-                graph = graph_from_edges(max(top, alphabet or 0), pairs)
-            else:
-                raise ParseError(f"unknown directive {key!r}")
-        except (ValueError, ParseError) as e:
-            raise ParseError(f"constraint file line {ln}: {e}") from e
-    if alphabet is None:
+    ``alphabet`` is required. The lists of ``forbid-factor``,
+    ``forbid-formula``, ``allow-squares`` and ``allow-overlaps`` lines add
+    up; ``forbid-formula`` keeps file order, which breaks ``check``'s ties
+    between formulas. An allow-list with no line is None (no such
+    constraint), one with only empty lines the empty set.
+    """
+    d, _ = read_directives(text.splitlines(), "constraint file", _CONSTRAINT_DIRECTIVES)
+    if "alphabet_size" not in d:
         raise ParseError("constraint file must declare 'alphabet K'")
-    if graph is not None and graph.vertex_count < alphabet:
-        graph = LabelledGraph(alphabet, graph.edges)
-    return ConstraintSet(
-        alphabet_size=alphabet,
-        forbidden_factors=frozenset(factors),
-        forbidden_formulas=tuple(formulas),
-        sq_min_period=sq_min,
-        allowed_squares=frozenset(allow_sq) if allow_sq is not None else None,
-        allowed_overlaps=frozenset(allow_ov) if allow_ov is not None else None,
-        max_square_count=max_sq,
-        max_overlap_count=max_ov,
-        occurrence_budget=occ,
-        exponent_cap=exp,
-        graph=graph,
-    )
+    for slot in ("forbidden_factors", "allowed_squares", "allowed_overlaps"):
+        if slot in d:
+            d[slot] = frozenset(d[slot])
+    graph = d.get("graph")
+    if graph is not None and graph.vertex_count < d["alphabet_size"]:
+        d["graph"] = LabelledGraph(d["alphabet_size"], graph.edges)
+    return ConstraintSet(**d)
 
 
 def load_constraints(path) -> ConstraintSet:

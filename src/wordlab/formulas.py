@@ -623,7 +623,9 @@ class _Engine:
             # prefer it, and prefer pinning many variables at once
             if frag.kind in ("power", "periodic", "vsquare") and unassigned == len(frag.var_ids):
                 return (2, -unassigned, -len(frag.occs))
-            return (3, unassigned, -len(frag.occs))
+            # one the power index drives before one tried at every length
+            driven = max(frag.runlen) >= 2 or any(frag.doubled)
+            return (3, not driven, unassigned, -len(frag.occs))
 
         return min(remaining, key=key)
 

@@ -97,10 +97,7 @@ def test_manifest_round_trip(manifest_dir):
 
 
 def test_manifest_parse_errors(tmp_path):
-    bad = tmp_path / "bad"
-    bad.write_text("name x\nweird directive\n")
-    with pytest.raises(ParseError):
-        load_manifest(bad)
+    # unknown directives: tests/test_directives.py
     incomplete = tmp_path / "incomplete"
     incomplete.write_text("name x\n")
     with pytest.raises(ParseError):
@@ -127,6 +124,16 @@ def test_a_repeated_single_valued_manifest_directive_is_a_parse_error(tmp_path, 
     path.write_text("".join(d + "\n" for d in lines + [line]))
     with pytest.raises(ParseError, match=f"line {len(lines) + 1}:"):
         load_manifest(path)
+
+
+def test_empty_inventory_lines_are_empty_sets(tmp_path):
+    (tmp_path / "b3.cons").write_text("alphabet 3\nforbid-formula AA\nallow-squares\n")
+    path = tmp_path / "m"
+    path.write_text("name x\nconstraints b3.cons\ntarget-inner 012/02/1\nexpect-squares\nexpect-overlaps\n")
+    m = load_manifest(path)
+    assert m.expect_squares == frozenset() and m.expect_overlaps == frozenset()
+    assert m.constraints.allowed_squares == frozenset()
+    assert m.constraints.allowed_overlaps is None
 
 
 def test_verify_characterization_passes_on_b3(manifest_dir):

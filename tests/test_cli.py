@@ -255,17 +255,10 @@ def formulas_golden_words():
         yield f"{inner}-200", k, fixed_point_prefix(parse_morphism(inner), 200)
 
 
-# check lines left out of the formulas golden file: on the 012/02/1 prefix each
-# of these formulas takes 8-10 s to find no occurrence, every split of the
-# AB fragment being tried before the other fragment
-SLOW_GOLDEN_CHECKS = {("AB.BABAC", "012/02/1-200"), ("AB.ACABCAB", "012/02/1-200")}
-
-
 def formulas_golden_report() -> str:
     """The stdout of ``wordlab check`` under ``alphabet k`` and ``forbid-formula f``
     and of ``wordlab match --cap 3``, for each golden word and each formula of
-    the formula tests plus AA.BCB and ABCABC.ABA, under a header naming both
-    (no check line for ``SLOW_GOLDEN_CHECKS``).
+    the formula tests plus AA.BCB and ABCABC.ABA, under a header naming both.
 
     The check line holds the ``first_occurrence`` witness, so it pins the
     order in which the engine meets candidates. ``PYTHONPATH=src python
@@ -283,11 +276,10 @@ def formulas_golden_report() -> str:
                     with open(cons, "w", encoding="ascii") as fh:
                         fh.write(f"alphabet {k}\nforbid-formula {f}\n")
                 out.write(f"== {f} {label}\n")
-                commands = []
-                if (f, label) not in SLOW_GOLDEN_CHECKS:
-                    commands.append((["check", "--constraints", cons, "--stdin"], (0, 1)))
-                commands.append((["match", "--formula", f, "--cap", "3", "--stdin"], (0,)))
-                for argv, codes in commands:
+                for argv, codes in (
+                    (["check", "--constraints", cons, "--stdin"], (0, 1)),
+                    (["match", "--formula", f, "--cap", "3", "--stdin"], (0,)),
+                ):
                     with mock.patch("sys.stdin", io.StringIO(w + "\n")), redirect_stdout(out):
                         assert main(argv) in codes
     return out.getvalue()
@@ -375,6 +367,26 @@ def test_malformed_input_exit_codes(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (TINY_MANIFEST.replace("check-length 2", "check-length 60"), 6),  # prefix 50 < 60
+        (TINY_MANIFEST + "expect-avoids\n", 7),
+        (TINY_MANIFEST + "code-pieces\n", 7),
+        (TINY_MANIFEST + "expect-overlaps-derived 01\n", 7),
+        (TINY_MANIFEST + "localizer 4\n", 7),
+    ],
+    ids=["short-prefix", "no-avoids", "no-pieces", "derived-with-arguments", "localizer-without-word"],
+)
+def test_a_malformed_manifest_exits_2_naming_its_line(tmp_path, capsys, text, line):
+    """A manifest that cannot be checked as written is a parse error (2), never a refutation (1)."""
+    (tmp_path / "ok.cons").write_text(MALFORMED_FILES["ok.cons"])
+    (tmp_path / "m").write_text(text)
+    code, out, err = run(capsys, "verify", "--manifest", str(tmp_path / "m"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: manifest line {line}:"), err
 
 
 @pytest.mark.parametrize("error", [RuntimeError("boom"), WordlabError("bare")])

@@ -59,8 +59,7 @@ graph-edges 0-1 1-1
 
 
 def test_parse_constraints_errors():
-    with pytest.raises(ParseError):
-        parse_constraints("alphabet 2\nfrobnicate 3\n")
+    # unknown directives: tests/test_directives.py
     with pytest.raises(ParseError):
         parse_constraints("forbid-factor 00\n")  # missing alphabet
     with pytest.raises(ParseError):
@@ -76,6 +75,8 @@ def test_parse_constraints_errors():
             parse_constraints(f"alphabet 2\nexponent-cap {cap}\n")
     with pytest.raises(ParseError, match="line 2:"):
         parse_constraints("alphabet 2\ngraph-edges\n")
+    with pytest.raises(ParseError, match="line 2: graph: unknown builtin graph"):
+        parse_constraints("alphabet 3\ngraph FOO\n")
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,16 @@ def test_doubled_block_search_is_near_linear():
     assert not has_occurrence(w, parse_formula("ABCBC"), step_budget=1_000_000)
 
 
+@pytest.mark.parametrize("f", ["AB.BABAC", "AB.ACABCAB"])
+def test_a_driven_fragment_is_joined_before_a_free_one(f):
+    """The doubled block of BABAC or ACABCAB is matched before AB, whose
+    variables would be tried at every length: on the square-free 012/02/1
+    prefix that is about 200 and 21 000 steps, against 6.1 M and 5.1 M when
+    every split of AB came first."""
+    w = fixed_point_prefix(parse_morphism("012/02/1"), 200)
+    assert first_occurrence(w, parse_formula(f), step_budget=100_000) is None
+
+
 @given(st.text(alphabet="012", min_size=0, max_size=60))
 def test_occurrences_match_oracle_random_ternary(w):
     for f in (parse_formula("AA"), parse_formula("ABBA")):
