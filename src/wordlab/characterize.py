@@ -156,6 +156,15 @@ def code_factor_membership(v: str, pieces) -> bool:
 # manifest files
 
 
+def _at_least(lo: int):
+    """A converter to an integer that is at least lo."""
+    def read(tok) -> int:
+        if int(tok) < lo:
+            raise ParseError(f"{tok} is below {lo}")
+        return int(tok)
+    return read
+
+
 def _flag(args) -> bool:
     if args:
         raise ParseError(f"takes no arguments, got {len(args)}")
@@ -166,8 +175,11 @@ def _localizer(args) -> tuple[Localizer]:
     if not 2 <= len(args) <= 4:
         raise ParseError(f"takes 2 to 4 arguments, got {len(args)}")
     k, u, pat, plen = args + [None] * (4 - len(args))
+    window, word = _at_least(1)(k), parse_word(u)
+    if len(word) > window:
+        raise ParseError(f"word {word} is longer than the window {window}")
     pattern = None if pat is None else parse_formula(pat)
-    return (Localizer(int(k), parse_word(u), pattern, None if plen is None else int(plen)),)
+    return (Localizer(window, word, pattern, None if plen is None else _at_least(1)(plen)),)
 
 
 def _code_pieces(args) -> tuple[str, ...]:
@@ -177,7 +189,7 @@ def _code_pieces(args) -> tuple[str, ...]:
 
 def _expected_occurrences(args) -> tuple[Formula, int, frozenset[str]]:
     ftok, captok, *images = args
-    return parse_formula(ftok), int(captok), frozenset(map(parse_word, images))
+    return parse_formula(ftok), _at_least(1)(captok), frozenset(map(parse_word, images))
 
 
 # slots are TheoremManifest fields; load_manifest adds "constraints"
@@ -185,8 +197,8 @@ _MANIFEST_DIRECTIVES = {
     "name": ("name", one(str), False),
     "target-inner": ("inner", one(parse_morphism), False),
     "target-outer": ("outer", one(parse_morphism), False),
-    "check-length": ("check_length", one(int), False),
-    "horizon": ("horizon", one(int), False),
+    "check-length": ("check_length", one(_at_least(1)), False),
+    "horizon": ("horizon", one(_at_least(0)), False),
     "prefix": ("prefix_length", one(int), False),
     "expect-squares": ("expect_squares", lambda args: frozenset(map(parse_word, args)), False),
     "expect-overlaps": ("expect_overlaps", lambda args: frozenset(map(parse_word, args)), False),
@@ -215,7 +227,8 @@ def load_manifest(path) -> TheoremManifest:
         raise ParseError("manifest needs at least 'name', 'constraints' and 'target-inner'")
     if d.get("code_pieces") == ("from-target-outer",):
         if "outer" not in d:
-            raise ParseError("code-pieces from-target-outer needs target-outer")
+            where = f"manifest line {line_of['code_pieces']}: code-pieces"
+            raise ParseError(f"{where}: from-target-outer needs target-outer")
         d["code_pieces"] = tuple(sorted({img for img in d["outer"].images if img}))
     m = TheoremManifest(**d)
     if m.resolved_prefix() < m.check_length:

@@ -18,14 +18,15 @@ lengths from the k-powers at its position, and one that opens a doubled
 block, such as the BCBC of ABCBC, the same split of each square there.
 
 ``new_occurrence_exists`` and ``new_assignments`` anchor the search at the
-last letter: a formula made only of root blocks on the roots that letter
-added, through the same routine, and any other on fragment images ending
-there (``_anchored``). Roots, periods and runs come from one index with two
-producers: ``WordPowers`` reads a whole word's runs per run threshold
-m(p) = a p + b, those for a = 1 (squares, doubled blocks, ABAB roots,
-ABABA tails) off ``repetitions.square_runs`` and any other from a
-``repetitions.long_runs`` pass of its own, and ``PowerStack`` is kept up
-to date by the search, one letter at a time.
+last letter, seeding each fragment by its own shape: a fragment with a root
+block on the roots of its exponent that letter added, through the same
+routine, and any other on its images ending there (``_anchored``). Roots,
+periods and runs come from one index with two producers: ``WordPowers``
+reads a whole word's runs per run threshold m(p) = a p + b, those for
+a = 1 (squares, doubled blocks, ABAB roots, ABABA tails) off
+``repetitions.square_runs`` and any other from a ``repetitions.long_runs``
+pass of its own, and ``PowerStack`` is kept up to date by the search, one
+letter at a time.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ def fragment_images(f: Formula, assignment: tuple[str, ...]) -> tuple[str, ...]:
 class _Frag:
     occs: tuple[int, ...]  # variable ids in occurrence order
     var_ids: frozenset
-    kind: str  # distinct | power | periodic | vsquare | generic
-    d: int = 0  # periodic: distinct block size; power: 1
-    q: int = 0  # periodic: full block repeats
-    r: int = 0  # periodic: leftover occurrences
+    # a periodic fragment (x_1...x_d)^q x_1...x_r, d < len(occs); else d = 0
+    d: int = 0
+    q: int = 0
+    r: int = 0
     runlen: tuple[int, ...] = ()  # adjacent same-variable run length at each occurrence
     # the least b >= 2 with occs[j:j+b] == occs[j+b:j+2b] and occs[j] once in
     # that block, for each occurrence j; 0 where there is none
@@ -146,17 +147,12 @@ def _classify(occs: tuple[int, ...]) -> _Frag:
         "doubled": tuple(_doubled_block(occs, j) for j in range(m)),
         "counts": counts,
     }
-    if d == m:
-        return _Frag(occs, vars_, "distinct", **shape)
-    if d == 1:
-        return _Frag(occs, vars_, "power", d=1, q=m, r=0, root=(occs[:1], m), **shape)
-    if len(set(occs[:d])) == d and all(occs[i] == occs[i % d] for i in range(m)):
+    if d < m and len(set(occs[:d])) == d and all(occs[i] == occs[i % d] for i in range(m)):
         q, r = divmod(m, d)
-        root = (occs[:d], q) if r == 0 else None
-        return _Frag(occs, vars_, "periodic", d=d, q=q, r=r, root=root, **shape)
+        return _Frag(occs, vars_, d, q, r, root=(occs[:d], q) if r == 0 else None, **shape)
     if m % 2 == 0 and occs[: m // 2] == occs[m // 2 :]:
-        return _Frag(occs, vars_, "vsquare", root=(occs[: m // 2], 2), **shape)
-    return _Frag(occs, vars_, "generic", **shape)
+        return _Frag(occs, vars_, root=(occs[: m // 2], 2), **shape)
+    return _Frag(occs, vars_, **shape)
 
 
 @lru_cache(maxsize=512)
@@ -185,18 +181,9 @@ def repetition_shape(f: Formula) -> tuple[int, int, int] | None:
     letter each, so every image is non-empty and fits in the word.
     """
     frags = _compiled(f)
-    if len(frags) != 1 or frags[0].kind not in ("power", "periodic"):
+    if len(frags) != 1 or not frags[0].d:
         return None
     return frags[0].d, frags[0].q, frags[0].r
-
-
-@lru_cache(maxsize=512)
-def _root_exponents(f: Formula) -> frozenset[int] | None:
-    """The fragments' root exponents if every fragment has a root block, else None."""
-    frags = _compiled(f)
-    if any(frag.root is None for frag in frags):
-        return None
-    return frozenset(frag.root[1] for frag in frags)
 
 
 def anchored_power_exponents(f: Formula) -> frozenset[int]:
@@ -602,7 +589,7 @@ class _Engine:
         if not unassigned:
             if self._assigned_fragment_ok(frag, assign):
                 yield assign
-        elif frag.root is not None or (frag.kind == "periodic" and unassigned == len(frag.var_ids)):
+        elif frag.root is not None or (frag.r and unassigned == len(frag.var_ids)):
             yield from self._block_matches(frag, assign)
         else:
             yield from self._position_matches(frag, assign)
@@ -621,7 +608,7 @@ class _Engine:
                 return (1, unassigned, -len(frag.occs))
             # run-based enumeration only applies with no variable pinned yet;
             # prefer it, and prefer pinning many variables at once
-            if frag.kind in ("power", "periodic", "vsquare") and unassigned == len(frag.var_ids):
+            if (frag.root is not None or frag.r) and unassigned == len(frag.var_ids):
                 return (2, -unassigned, -len(frag.occs))
             # one the power index drives before one tried at every length
             driven = max(frag.runlen) >= 2 or any(frag.doubled)
@@ -664,20 +651,20 @@ class _Engine:
             assign2[v] = w[end - L : end]
             yield from self._anchored(frag, j - 1, end - L, assign2)
 
-    def solve_anchored(self, first_only: bool, delta=None) -> bool:
+    def solve_anchored(self, first_only: bool, delta) -> bool:
         """Occurrences in which some fragment is anchored at the last letter.
 
-        With ``delta`` None, a fragment's image is matched so that it ends at
-        the last letter. Otherwise every fragment has a root block and
-        ``delta`` lists the (k, root) pairs the last letter added: a new
-        occurrence has a fragment whose image X^k is a new factor, hence a
-        suffix, so its block's image X is one of these roots, ending there.
-        Either way every occurrence that w[:-1] lacks is found.
+        ``delta`` lists the (k, root) pairs the last letter added. A new
+        occurrence has a fragment whose image is a new factor, hence a
+        suffix. So each fragment is seeded by its own shape: a root block
+        (image X^k) from the new roots of exponent k, as X^k is new exactly
+        when X is, and any other fragment from images ending at the last
+        letter. Every occurrence that w[:-1] lacks is found.
         """
         found = False
         for fi, frag in enumerate(self.frags):
             rest = [x for x in range(len(self.frags)) if x != fi]
-            if delta is None:
+            if frag.root is None:
                 seeds = self._anchored(frag, len(frag.occs) - 1, self.n, [None] * self.nvars)
             else:
                 roots = [x for k, x in delta if k == frag.root[1]]
@@ -755,8 +742,8 @@ def _root_delta(w: bytes, ks, powers: PowerStack | None) -> list[tuple[int, byte
 def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None, first_only: bool):
     """The engine after its anchored search, or None when no occurrence can be new.
 
-    A formula whose fragments all have root blocks is anchored on the roots
-    the last letter added, and has no new occurrence when there are none.
+    Root-block fragments are seeded from the roots the last letter added; a
+    formula of root-block fragments only has no new occurrence without one.
     """
     _guard_variables(f)
     if powers is not None and powers.n != len(w):
@@ -764,12 +751,10 @@ def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None, firs
     if len(w) == 0:
         return None
     w = w.encode("ascii") if isinstance(w, str) else bytes(w)
-    delta = None
-    ks = _root_exponents(f)
-    if ks is not None:
-        delta = _root_delta(w, ks, powers)
-        if not delta:
-            return None
+    roots = [frag.root for frag in _compiled(f) if frag.root is not None]
+    delta = _root_delta(w, {k for _, k in roots}, powers) if roots else []
+    if not delta and len(roots) == len(f.fragments):
+        return None
     eng = _Engine(w, f, len(w), step_budget, powers)
     eng.solve_anchored(first_only, delta)
     return eng
@@ -782,13 +767,14 @@ def new_occurrence_exists(
 
     So when ``w[:-1]`` avoids ``f``, this decides whether ``w`` does. The DFS
     calls it for the formulas that are not repetition shapes, which it
-    decides on its suffix-run counters (``repetition_shape``). A formula
-    whose every fragment is a power, a doubled block or an r = 0 periodic
-    block is searched from the roots of those powers that the last letter
-    added, and is False with no search when there are none; any other from
-    fragment images ending at the last letter. ``powers``, if given, is a
-    ``PowerStack`` over ``w`` tracking ``anchored_power_exponents(f)``; it
-    replaces the whole-word scan and supplies those roots.
+    decides on its suffix-run counters (``repetition_shape``). Each fragment
+    that is a power, a doubled block or an r = 0 periodic block is seeded
+    from the roots of its exponent that the last letter added, and any other
+    from its images ending at the last letter; a formula made only of the
+    former is False with no search when no root is new. ``powers``, if
+    given, is a ``PowerStack`` over ``w`` tracking
+    ``anchored_power_exponents(f)``; it replaces the whole-word scan and
+    supplies those roots.
     """
     eng = _anchored_engine(w, f, step_budget, powers, first_only=True)
     return eng is not None and bool(eng.results)
@@ -799,11 +785,11 @@ def new_assignments(
 ) -> set[tuple[str, ...]]:
     """Occurrences of f in w, including every one that w[:-1] has not.
 
-    The search of ``new_occurrence_exists``, run to the end. Every reported
-    assignment is an occurrence in w; besides the new ones it may report
-    some that w[:-1] has too, so the DFS counts the ``max-occurrences``
-    formula by adding them to the set it keeps. ``powers`` is as for
-    ``new_occurrence_exists``.
+    The search of ``new_occurrence_exists``, each fragment seeded by its own
+    shape, run to the end. Every reported assignment is an occurrence in w;
+    besides the new ones it may report some that w[:-1] has too, so the DFS
+    counts the ``max-occurrences`` formula by adding them to the set it
+    keeps. ``powers`` is as for ``new_occurrence_exists``.
     """
     eng = _anchored_engine(w, f, step_budget, powers, first_only=False)
     return set() if eng is None else eng.decoded_results()

@@ -46,14 +46,14 @@ push adds only the k-powers ending at the new letter, so the anchored search
 takes its power lengths, power roots and fresh power images from that stack
 instead of rescanning the word's period runs.
 
-A formula whose every fragment is a power, a doubled block uu or an r = 0
-periodic block (``AA.ABAB.BB``) holds in a word exactly when each fragment's
-block image is a k-power root of it, so the anchored search for it reads
-only the roots the push added (``PowerStack.added``): a new occurrence has a
-fragment whose image is a new factor, and that image's root is one of them,
-ending at the new letter. A push that adds no such root needs no search.
-This is the semi-naive evaluation of the conjunctive query over the root
-sets (Bancilhon and Ramakrishnan, 1986).
+The anchored search seeds each fragment by its own shape, since a new
+occurrence has a fragment whose image is a new factor, hence a suffix. A
+power, a doubled block uu or an r = 0 periodic block has the image X^k, new
+exactly when its root X is, so it is seeded from the roots the push added
+(``PowerStack.added``); any other fragment from its images ending at the new
+letter. For a formula of root fragments only (``AA.ABAB.BB``) a push that
+adds no root needs no search. This is the semi-naive evaluation of the
+conjunctive query over the root sets (Bancilhon and Ramakrishnan, 1986).
 
 ``_run_dfs`` hands each good word to an ``on_good`` callback, which answers
 DESCEND (search its extensions), PRUNE (keep it, skip its extensions) or

@@ -15,6 +15,7 @@ from wordlab.characterize import (
     morphisms_equal,
     verify_characterization,
 )
+from wordlab.cli import main
 from wordlab.errors import DomainError, ParseError
 from wordlab.morphisms import compose, fixed_point_prefix, parse_morphism
 from wordlab.words import factors
@@ -102,6 +103,24 @@ def test_manifest_parse_errors(tmp_path):
     incomplete.write_text("name x\n")
     with pytest.raises(ParseError):
         load_manifest(incomplete)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "check-length 0", "horizon -1", "localizer 0 0", "localizer 3 0000", "localizer 4 0 AA 0",
+        "expect-occurrences AA 0", "code-pieces from-target-outer",
+    ],
+)
+def test_an_out_of_range_manifest_value_is_a_parse_error_naming_its_line(tmp_path, capsys, line):
+    """Each is rejected while the manifest is read, before any prefix is built."""
+    (tmp_path / "b3.cons").write_text("alphabet 3\nforbid-formula AA\n")
+    path = tmp_path / "m"
+    path.write_text(f"name x\nconstraints b3.cons\n{line}\ntarget-inner 012/02/1\n")
+    with pytest.raises(ParseError, match="^manifest line 3: "):
+        load_manifest(path)
+    assert main(["verify", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: manifest line 3: ")
 
 
 @pytest.mark.parametrize(

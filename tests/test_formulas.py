@@ -39,8 +39,11 @@ FORMULAS = [
     )
 ]
 # every fragment a power, a doubled block (ABAABA) or an r = 0 periodic block,
-# except in AA.ABA, whose ABA keeps the generic anchored search
+# except in AA.ABA, whose ABA is seeded from its images ending at the last letter
 ROOT_FORMULAS = [parse_formula(t) for t in ("AA.BB", "AAA.ABAB", "ABAABA.BB", "ABCABC.AA", "AA.ABA")]
+# a root block beside a tail block (ABA, ACA, BCB): the anchored search seeds
+# the first from the new roots and the second from its images ending there
+MIXED_FORMULAS = [parse_formula(t) for t in ("ABCABC.ABA", "ABAB.ACA", "AA.BCB")]
 # generic fragments with doubled blocks; from AAABABAA on, the search meets
 # one (BA.BA, BA.BA, CA.CA, CAB.CAB, BAA.BAA) with its other variables known
 DOUBLED_BLOCK_FORMULAS = [
@@ -287,7 +290,7 @@ def _stacked_prefixes(w, f):
 def test_anchored_search_with_and_without_a_power_stack(w):
     """On every prefix both searches give the same answers: every occurrence
     the prefix one letter shorter lacks is reported, and only occurrences."""
-    for f in FORMULAS + ROOT_FORMULAS:
+    for f in FORMULAS + ROOT_FORMULAS + MIXED_FORMULAS:
         before = set()
         for prefix, stack in _stacked_prefixes(w, f):
             new = new_assignments(prefix, f)
@@ -329,6 +332,18 @@ def test_root_block_anchor_is_bounded_by_the_new_roots():
         assert new_occurrence_exists(v, f, step_budget=10_000) is want
         *_, (_, stack) = _stacked_prefixes(v, f)
         assert new_occurrence_exists(v, f, step_budget=10_000, powers=stack) is want
+
+
+def test_mixed_formula_anchor_is_bounded_by_the_new_roots():
+    """ABCABC.ABA at the end of the 200-letter prefix of the square-free
+    012/02/1 word: ABCABC is seeded from the new square roots, of which there
+    are none, and only ABA from the images ending at the last letter. Seeding
+    ABCABC from its suffixes too took 302 852 steps."""
+    w = fixed_point_prefix(parse_morphism("012/02/1"), 200)
+    f = parse_formula("ABCABC.ABA")
+    assert new_occurrence_exists(w, f, step_budget=20_000) is False
+    *_, (_, stack) = _stacked_prefixes(w, f)
+    assert new_occurrence_exists(w, f, step_budget=20_000, powers=stack) is False
 
 
 def test_anchored_search_rejects_a_power_stack_of_another_length():

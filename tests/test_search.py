@@ -189,14 +189,15 @@ def test_occurrence_budget_search_is_exact():
 # (ABA), odd and even lengths, d = 3, and two shapes merged into one threshold
 SHAPE_LINES = ("ABA", "ABABA", "ABABAB", "ABCABC", "ABCAB", "AA ABABA")
 # formulas whose every fragment is a power, a doubled block (ABAABA) or an
-# r = 0 periodic block (ABCABC), searched from the roots a push adds; AA.ABA
-# keeps the generic anchored search
+# r = 0 periodic block (ABCABC), searched from the roots a push adds; only the
+# ABA of AA.ABA and the ACA of ABAB.ACA are seeded from images ending there
 ROOT_LINES = (
     "forbid-formula AA.BB",
     "forbid-formula AAA.ABAB",
     "forbid-formula ABAABA.BB",
     "forbid-formula ABCABC.AA",
     "forbid-formula AA.ABA",
+    "forbid-formula ABAB.ACA",
     "forbid-formula ABAABA",
     "forbid-formula AA.BCBC",
     "max-occurrences AA.BB 3",
