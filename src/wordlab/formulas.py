@@ -4,18 +4,20 @@ A formula is dot-separated fragments; an occurrence is a non-erasing
 assignment of words to variables making every fragment image a factor of the
 searched word. Occurrences are identified by the tuple of variable images.
 
-The engine solves one fragment at a time. A fragment with a block of
-variables whose image a run or a root covers goes to one routine,
-``_block_matches``: a power (the A of AA), a doubled block (the u of uu) or
-a periodic block with no remainder (the AB of ABAB) has the image X^k, X the
-block's image, so X is a root of exponent k; a periodic block with a tail
-(the AB of ABA or ABABA) starts a run of its period. The routine reads those
-roots or runs and splits each over the block with ``_match_exact``, which
-honours the image-length caps, the allowed lengths and the images already
-fixed. Any other fragment is matched left to right from each start position
-(``_match_at``); there a variable that opens an adjacent k-run takes its
-lengths from the k-powers at its position, and one that opens a doubled
-block, such as the BCBC of ABCBC, the same split of each square there.
+The engine joins each group of fragments that share variables on its own; a
+group with no solution ends the search. A fragment with a block of variables
+whose image a run or a root covers goes to one routine, ``_block_matches``: a
+power (the A of AA), a doubled block (the u of uu) or a periodic block with
+no remainder (the AB of ABAB) has the image X^k, X the block's image, so X is
+a root of exponent k; a periodic block with a tail (the AB of ABA or ABABA)
+starts a run of its period. The routine reads those roots or runs and splits
+each over the block with ``_match_exact``, which honours the image-length
+caps, the allowed lengths and the images already fixed. Any other fragment is
+matched left to right (``_match_at``) from each start position, or, if all
+occurrences are sought, a free-headed one (ABBA) from each start of its first
+run and back; there a variable that opens an adjacent k-run takes its lengths
+from the k-powers at its position, and one that opens a doubled block, such
+as the BCBC of ABCBC, the same split of each square there.
 
 ``new_occurrence_exists`` and ``new_assignments`` anchor the search at the
 last letter, seeding each fragment by its own shape: a fragment with a root
@@ -31,8 +33,10 @@ letter at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice, product
+from math import prod
 
 from .errors import DomainError, ParseError, ResourceBudgetError
 from .repetitions import SuffixRuns, long_runs, square_runs
@@ -124,6 +128,10 @@ class _Frag:
     root: tuple[tuple[int, ...], int] | None = None
     # (v, occurrences of v, other occurrences) for each variable v
     counts: tuple[tuple[int, int, int], ...] = ()
+    # the first occurrence opening a k-run, k >= 2, if the head opens no block
+    # and each variable before it recurs from it on (ABBA's BB); else 0
+    pivot: int = 0
+    group: int = 0  # the first fragment linked to this one by shared variables
 
 
 def _doubled_block(occs: tuple[int, ...], j: int) -> int:
@@ -142,11 +150,11 @@ def _classify(occs: tuple[int, ...]) -> _Frag:
         if occs[j] == occs[j + 1]:
             runlen[j] = runlen[j + 1] + 1
     counts = tuple((v, occs.count(v), m - occs.count(v)) for v in sorted(vars_))
-    shape = {
-        "runlen": tuple(runlen),
-        "doubled": tuple(_doubled_block(occs, j) for j in range(m)),
-        "counts": counts,
-    }
+    doubled = tuple(_doubled_block(occs, j) for j in range(m))
+    pivot = next((j for j in range(1, m) if runlen[j] >= 2), 0)
+    if runlen[0] >= 2 or doubled[0] or not set(occs[:pivot]) <= set(occs[pivot:]):
+        pivot = 0
+    shape = {"runlen": tuple(runlen), "doubled": doubled, "counts": counts, "pivot": pivot}
     if d < m and len(set(occs[:d])) == d and all(occs[i] == occs[i % d] for i in range(m)):
         q, r = divmod(m, d)
         return _Frag(occs, vars_, d, q, r, root=(occs[:d], q) if r == 0 else None, **shape)
@@ -157,7 +165,11 @@ def _classify(occs: tuple[int, ...]) -> _Frag:
 
 @lru_cache(maxsize=512)
 def _compiled(f: Formula) -> tuple[_Frag, ...]:
-    return tuple(_classify(tuple(ord(ch) - ord("A") for ch in frag)) for frag in f.fragments)
+    frags = [_classify(tuple(ord(ch) - ord("A") for ch in frag)) for frag in f.fragments]
+    group = list(range(len(frags)))
+    for _ in frags:  # each round carries the least index one link further
+        group = [min(group[i] for i, a in enumerate(frags) if a.var_ids & b.var_ids) for b in frags]
+    return tuple(replace(frag, group=g) for frag, g in zip(frags, group))
 
 
 def _adjacent_runs(frag: _Frag):
@@ -332,7 +344,8 @@ class PowerStack:
 
 
 class _Engine:
-    def __init__(self, w, f: Formula, cap: int, budget: int | None, powers: PowerStack | None = None):
+    def __init__(self, w, f: Formula, cap: int, budget: int | None, first_only: bool, powers=None):
+        self.first_only = first_only
         self.w: bytes = w.encode("ascii") if isinstance(w, str) else bytes(w)
         self.n = len(self.w)
         self.frags = _compiled(f)
@@ -356,7 +369,7 @@ class _Engine:
         if self.steps > self.budget:
             raise ResourceBudgetError(
                 "occurrence search exceeded its step budget (partial results attached)",
-                partial={tuple(img.decode() for img in t) for t in self.results},
+                partial=self.decoded_results(),
             )
 
     def _powers(self, k: int) -> dict[int, list[int]] | None:
@@ -374,7 +387,7 @@ class _Engine:
                     return None
                 for i in range(s, s + span + 1):
                     index.setdefault(i, []).append(g)
-        self._power_index[k] = index
+        index = self._power_index[k] = dict(sorted(index.items()))
         return index
 
     def lengths(self, v: int) -> frozenset[int] | None:
@@ -515,15 +528,24 @@ class _Engine:
             yield from self._match_exact(occs, j + 1, pos + L, end, assign2, w)
 
     def _position_matches(self, frag: _Frag, assign):
+        """Matches from each start: a known head's ``find`` hits; in a search for
+        all occurrences, with a pivot (``_Frag.pivot``), each k-power start i,
+        forward from the pivot and back from i; else, or if refused, each start."""
         total_min = self._rest_min(frag.occs, 0, assign)
-        first = frag.occs[0]
-        img = assign[first]
+        img = assign[frag.occs[0]]
         if img is not None:
             # jump between occurrences of the known leading image
             pos = self.w.find(img)
             while 0 <= pos <= self.n - total_min:
                 yield from self._match_at(frag, 0, pos, assign)
                 pos = self.w.find(img, pos + 1)
+            return
+        # a first-only search keeps every start: check reports its first find
+        index = self._powers(frag.runlen[frag.pivot]) if frag.pivot and not self.first_only else None
+        if index is not None:
+            for i in index:
+                for assign2 in self._match_at(frag, frag.pivot, i, assign):
+                    yield from self._anchored(frag, frag.pivot - 1, i, assign2)
             return
         for pos in range(self.n - total_min + 1):
             yield from self._match_at(frag, 0, pos, assign)
@@ -616,19 +638,39 @@ class _Engine:
 
         return min(remaining, key=key)
 
-    def solve(self, remaining, assign, first_only: bool) -> bool:
-        if not remaining:
-            self.results.add(tuple(assign))
-            return True
-        fi = self._pick(remaining, assign)
-        rest = [x for x in remaining if x != fi]
-        found = False
+    def _join(self, group, assign):
+        """Extensions of assign over a group of fragments, one at a time."""
+        if not group:
+            yield assign
+            return
+        fi = self._pick(group, assign)
+        rest = [x for x in group if x != fi]
         for assign2 in self._frag_matches(self.frags[fi], assign):
-            if self.solve(rest, assign2, first_only):
-                found = True
-                if first_only:
-                    return True
-        return found
+            yield from self._join(rest, assign2)
+
+    def solve(self, remaining, assign) -> None:
+        """Add the occurrences extending assign: a lone group's (``_Frag.group``)
+        as found; else each group's solutions (the first for ``first_only``), an
+        empty group ending the search, then their product, a step per occurrence."""
+        groups: dict[int, list[int]] = {}
+        for fi in remaining:
+            groups.setdefault(self.frags[fi].group, []).append(fi)
+        take = 1 if self.first_only else None
+        if len(groups) <= 1:  # streamed, so an overrun keeps what was found
+            self.results.update(map(tuple, islice(self._join(remaining, assign), take)))
+            return
+        solutions = []
+        for group in groups.values():
+            solutions.append(list(islice(self._join(group, assign), take)))
+            if not solutions[-1]:
+                return
+        # b"" for the images a group leaves to the others: max takes the one set
+        parts = [[tuple(x or b"" for x in a) for a in found] for found in solutions]
+        base = tuple(x or b"" for x in assign)
+        occurrences = (tuple(map(max, base, *combo)) for combo in product(*parts))
+        # add what the budget pays for, then charge them all
+        self.results.update(islice(occurrences, self.budget - self.steps))
+        self._step(prod(map(len, solutions)))
 
     def _anchored(self, frag: _Frag, j: int, end: int, assign):
         """Match occurrences ..j of the fragment so its image ends at ``end``."""
@@ -651,7 +693,7 @@ class _Engine:
             assign2[v] = w[end - L : end]
             yield from self._anchored(frag, j - 1, end - L, assign2)
 
-    def solve_anchored(self, first_only: bool, delta) -> bool:
+    def solve_anchored(self, delta) -> None:
         """Occurrences in which some fragment is anchored at the last letter.
 
         ``delta`` lists the (k, root) pairs the last letter added. A new
@@ -661,7 +703,6 @@ class _Engine:
         when X is, and any other fragment from images ending at the last
         letter. Every occurrence that w[:-1] lacks is found.
         """
-        found = False
         for fi, frag in enumerate(self.frags):
             rest = [x for x in range(len(self.frags)) if x != fi]
             if frag.root is None:
@@ -670,14 +711,12 @@ class _Engine:
                 roots = [x for k, x in delta if k == frag.root[1]]
                 seeds = self._block_matches(frag, [None] * self.nvars, roots)
             for assign in seeds:
-                if self.solve(rest, assign, first_only):
-                    found = True
-                    if first_only:
-                        return True
-        return found
+                self.solve(rest, assign)
+                if self.first_only and self.results:
+                    return
 
     def decoded_results(self) -> set[tuple[str, ...]]:
-        return {tuple(img.decode("ascii") for img in t) for t in self.results}
+        return {tuple(map(bytes.decode, t)) for t in self.results}
 
 
 def _guard_variables(f: Formula) -> None:
@@ -693,22 +732,23 @@ def find_occurrences(w: str, f: Formula, cap: int, step_budget: int | None = Non
     _guard_variables(f)
     if cap < 1:
         raise DomainError("image length cap must be >= 1")
-    eng = _Engine(w, f, cap, step_budget)
-    eng.solve(list(range(len(eng.frags))), [None] * eng.nvars, first_only=False)
+    eng = _Engine(w, f, cap, step_budget, first_only=False)
+    eng.solve(list(range(len(eng.frags))), [None] * eng.nvars)
     return eng.decoded_results()
 
 
 def first_occurrence(w: str, f: Formula, step_budget: int | None = None) -> tuple[str, ...] | None:
     """The first occurrence of f that the search meets in w, or None if w avoids f.
 
-    The search goes fragment by fragment in a fixed order, so the answer
-    depends only on w and f; ``check`` reports it as its formula witness.
+    A group without a solution ends the search: ``AA.BCB`` on the 200-letter
+    012/02/1 prefix takes 0 steps (771 045 when BCB was split first). It
+    takes no pivot: ``check`` reports the answer, found from each start, as its witness.
     """
     _guard_variables(f)
     if len(w) == 0:
         return None
-    eng = _Engine(w, f, len(w), step_budget)
-    eng.solve(list(range(len(eng.frags))), [None] * eng.nvars, first_only=True)
+    eng = _Engine(w, f, len(w), step_budget, first_only=True)
+    eng.solve(list(range(len(eng.frags))), [None] * eng.nvars)
     return next(iter(eng.decoded_results()), None)
 
 
@@ -755,8 +795,8 @@ def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None, firs
     delta = _root_delta(w, {k for _, k in roots}, powers) if roots else []
     if not delta and len(roots) == len(f.fragments):
         return None
-    eng = _Engine(w, f, len(w), step_budget, powers)
-    eng.solve_anchored(first_only, delta)
+    eng = _Engine(w, f, len(w), step_budget, first_only, powers)
+    eng.solve_anchored(delta)
     return eng
 
 

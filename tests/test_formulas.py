@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import mutated_periodic
 from oracles import naive_has_occurrence, naive_occurrences
 from period_scan import scan_power_roots
 from wordlab import formulas, repetitions
-from wordlab.errors import DomainError, ParseError
+from wordlab.constraints import check, parse_constraints
+from wordlab.errors import DomainError, ParseError, ResourceBudgetError
 from wordlab.formulas import (
     Formula,
     PowerStack,
@@ -53,6 +54,18 @@ DOUBLED_BLOCK_FORMULAS = [
         "AAABABAA", "AABABA", "AA.BCACA", "AB.ACABCAB", "AA.BAABAAC",
     )
 ]
+
+# a free head before an adjacent run: ABBCA, ABBBA, ABAAB and ABCCBA start at
+# the run (the pivot); in ABCCA and ABCBBA a variable before the run does not
+# recur after it, and AB.CDDC, ABBA.CDEDC and ABBAC.CDDC have other fragments,
+# so they keep every start
+PIVOT_FORMULAS = [
+    parse_formula(t)
+    for t in ("ABBCA", "ABBBA", "ABAAB", "ABCCBA", "ABCCA", "ABCBBA")
+    + ("AB.CDDC", "ABBA.CDEDC", "ABBAC.CDDC")
+]
+# fragments in groups that share no variable, each group joined on its own
+GROUPED_FORMULAS = [parse_formula(t) for t in ("AB.CC", "AA.BCB", "ABA.CC", "AA.BB.CDC")]
 
 
 def test_parse_formula():
@@ -161,6 +174,64 @@ def test_a_driven_fragment_is_joined_before_a_free_one(f):
     every split of AB came first."""
     w = fixed_point_prefix(parse_morphism("012/02/1"), 200)
     assert first_occurrence(w, parse_formula(f), step_budget=100_000) is None
+
+
+@settings(max_examples=30)
+@given(
+    st.one_of(st.text(alphabet="01", max_size=10), st.text(alphabet="012", max_size=8)),
+    st.integers(1, 3),
+)
+def test_pivot_and_grouped_occurrences_match_oracle(w, cap):
+    """The pivot and the group join, and with the power index refused the
+    every-start path and the group join, give the oracles' answers."""
+    for f in PIVOT_FORMULAS + GROUPED_FORMULAS:
+        want = naive_occurrences(w, f.fragments, f.variable_count, cap)
+        has = naive_has_occurrence(w, f.fragments, f.variable_count)
+        for index_max in (formulas._POWER_INDEX_MAX, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(formulas, "_POWER_INDEX_MAX", index_max)
+                assert find_occurrences(w, f, cap) == want, (w, str(f), cap, index_max)
+                assert has_occurrence(w, f) == has, (w, str(f), index_max)
+
+
+@given(st.one_of(st.text(alphabet="01", max_size=40), st.text(alphabet="012", max_size=30)))
+@example("2200221")  # ABBA.CDEDC: A=2 at its run, A=22 from every start
+@example("010110110100")  # ABBAC.CDDC: A=01 at its run, A=0 from every start
+def test_pivot_keeps_the_check_witness(w):
+    """``check`` reports the same formula witness whether a pivot fragment
+    starts at its run or, with the power index refused, at every position."""
+    for f in PIVOT_FORMULAS:
+        c = parse_constraints(f"alphabet 3\nforbid-formula {f}\n")
+        want = check(w, c)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formulas, "_POWER_INDEX_MAX", 0)
+            assert check(w, c) == want, (w, str(f))
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+@pytest.mark.parametrize("f", ["AA.BCB", "ABA.CC"])
+def test_an_empty_group_ends_the_search(f, n):
+    """The square-free 012/02/1 prefix has no root for AA or CC, so the
+    search ends before the other group is tried: 0 and 3 steps, where
+    joining the groups as one took 771 045 steps at 200 letters."""
+    w = fixed_point_prefix(parse_morphism("012/02/1"), n)
+    assert has_occurrence(w, parse_formula(f), step_budget=1_000) is False
+
+
+def test_step_budget_keeps_only_whole_grouped_occurrences():
+    """A budget overrun attaches only complete occurrences: none when it
+    falls inside a group's join (30 steps), some of the 36 when it falls
+    inside the product of the groups (70 steps), one step each."""
+    w = "0100110100101100" * 3
+    f = parse_formula("AA.BB")
+    want = naive_occurrences(w, f.fragments, f.variable_count, 6)
+    assert len(want) == 36
+    for budget, some in ((30, False), (70, True)):
+        with pytest.raises(ResourceBudgetError) as info:
+            find_occurrences(w, f, 6, step_budget=budget)
+        partial = info.value.partial
+        assert partial < want and bool(partial) is some
+        assert all(len(t) == 2 and all(t) for t in partial)
 
 
 @given(st.text(alphabet="012", min_size=0, max_size=60))
@@ -361,6 +432,18 @@ def test_step_budget_carries_partial_results():
     with _pytest.raises(ResourceBudgetError) as info:
         find_occurrences(w, parse_formula("ABBA"), cap=20, step_budget=50)
     assert isinstance(info.value.partial, set)
+
+
+@pytest.mark.parametrize("f, budget", [("AA", 50), ("ABBA", 1_000)])
+def test_a_lone_group_overrun_keeps_what_it_found(f, budget):
+    """A formula of one group adds each occurrence as it is found, so an
+    overrun attaches those found so far (6 and 11 here), each a real one."""
+    w = "01001010010010100101" * 4
+    f = parse_formula(f)
+    with pytest.raises(ResourceBudgetError) as info:
+        find_occurrences(w, f, cap=20, step_budget=budget)
+    partial = info.value.partial
+    assert partial and partial <= naive_occurrences(w, f.fragments, f.variable_count, 20)
 
 
 def test_localizer_patterns_run_at_scale():
