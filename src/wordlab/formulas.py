@@ -22,10 +22,12 @@ as the BCBC of ABCBC, the same split of each square there.
 ``new_occurrence_exists`` and ``new_assignments`` anchor the search at the
 last letter, seeding each fragment by its own shape: a fragment with a root
 block on the roots of its exponent that letter added, through the same
-routine, and any other on its images ending there (``_anchored``). Roots,
-periods and runs come from one index with two producers: ``WordPowers``
-reads a whole word's runs per run threshold m(p) = a p + b, those for
-a = 1 (squares, doubled blocks, ABAB roots, ABABA tails) off
+routine, and any other on its images ending there, matched right to left
+(``_anchored``); a variable closing a k-run or a doubled block takes the
+periods of the k-powers or squares ending at its position (``ends``).
+Roots, periods, runs and ends come from one index with two producers:
+``WordPowers`` reads a whole word's runs per run threshold m(p) = a p + b,
+those for a = 1 (squares, doubled blocks, ABAB roots, ABABA tails) off
 ``repetitions.square_runs`` and any other from a ``repetitions.long_runs``
 pass of its own, and ``PowerStack`` is kept up to date by the search, one
 letter at a time.
@@ -123,6 +125,10 @@ class _Frag:
     # the least b >= 2 with occs[j:j+b] == occs[j+b:j+2b] and occs[j] once in
     # that block, for each occurrence j; 0 where there is none
     doubled: tuple[int, ...] = ()
+    # runlen and doubled read right to left: the run ending at each occurrence
+    # j, and the least b with occs[j-2b+1:j+1] doubled and occs[j] once per half
+    lrun: tuple[int, ...] = ()
+    ldoubled: tuple[int, ...] = ()
     # (block, k) when every image of the fragment is X^k, X the image of the
     # block: a power (A), a doubled block uu (u) or an r = 0 periodic block
     root: tuple[tuple[int, ...], int] | None = None
@@ -145,16 +151,20 @@ def _classify(occs: tuple[int, ...]) -> _Frag:
     m = len(occs)
     vars_ = frozenset(occs)
     d = len(vars_)
-    runlen = [1] * m
+    runlen, lrun = [1] * m, [1] * m
     for j in range(m - 2, -1, -1):
         if occs[j] == occs[j + 1]:
             runlen[j] = runlen[j + 1] + 1
+    for j in range(1, m):
+        lrun[j] += lrun[j - 1] if occs[j] == occs[j - 1] else 0
     counts = tuple((v, occs.count(v), m - occs.count(v)) for v in sorted(vars_))
     doubled = tuple(_doubled_block(occs, j) for j in range(m))
     pivot = next((j for j in range(1, m) if runlen[j] >= 2), 0)
     if runlen[0] >= 2 or doubled[0] or not set(occs[:pivot]) <= set(occs[pivot:]):
         pivot = 0
     shape = {"runlen": tuple(runlen), "doubled": doubled, "counts": counts, "pivot": pivot}
+    back = occs[::-1]
+    shape.update(lrun=tuple(lrun), ldoubled=tuple(_doubled_block(back, j) for j in range(m))[::-1])
     if d < m and len(set(occs[:d])) == d and all(occs[i] == occs[i % d] for i in range(m)):
         q, r = divmod(m, d)
         return _Frag(occs, vars_, d, q, r, root=(occs[:d], q) if r == 0 else None, **shape)
@@ -163,23 +173,32 @@ def _classify(occs: tuple[int, ...]) -> _Frag:
     return _Frag(occs, vars_, **shape)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What the engine reads of a formula, worked out once per formula."""
+
+    frags: tuple[_Frag, ...]
+    nvars: int
+    runs: tuple[tuple[int, int], ...]  # (variable, k) for each adjacent run of k >= 2
+    roots: frozenset[int]  # the exponents of the root blocks
+    all_roots: bool  # every fragment is a root block
+    exponents: frozenset[int]  # see anchored_power_exponents
+
+
 @lru_cache(maxsize=512)
-def _compiled(f: Formula) -> tuple[_Frag, ...]:
+def _compiled(f: Formula) -> _Plan:
     frags = [_classify(tuple(ord(ch) - ord("A") for ch in frag)) for frag in f.fragments]
     group = list(range(len(frags)))
     for _ in frags:  # each round carries the least index one link further
         group = [min(group[i] for i, a in enumerate(frags) if a.var_ids & b.var_ids) for b in frags]
-    return tuple(replace(frag, group=g) for frag, g in zip(frags, group))
-
-
-def _adjacent_runs(frag: _Frag):
-    """(variable, k) for each run of k >= 2 adjacent occurrences of one variable."""
-    j = 0
-    while j < len(frag.occs):
-        k = frag.runlen[j]
-        if k >= 2:
-            yield frag.occs[j], k
-        j += k
+    # a k-run opens where the run ending there is one long
+    runs = tuple(
+        (a.occs[j], k) for a in frags for j, k in enumerate(a.runlen) if k >= 2 and a.lrun[j] == 1
+    )
+    roots = frozenset(a.root[1] for a in frags if a.root is not None)
+    exponents = roots.union((k for _, k in runs), [2] if any(any(a.ldoubled) for a in frags) else [])
+    frags = tuple(replace(frag, group=g) for frag, g in zip(frags, group))
+    return _Plan(frags, f.variable_count, runs, roots, all(a.root is not None for a in frags), exponents)
 
 
 def repetition_shape(f: Formula) -> tuple[int, int, int] | None:
@@ -192,7 +211,7 @@ def repetition_shape(f: Formula) -> tuple[int, int, int] | None:
     ``SuffixRuns``: the minimal split of such a suffix gives x_1...x_r one
     letter each, so every image is non-empty and fits in the word.
     """
-    frags = _compiled(f)
+    frags = _compiled(f).frags
     if len(frags) != 1 or not frags[0].d:
         return None
     return frags[0].d, frags[0].q, frags[0].r
@@ -201,15 +220,11 @@ def repetition_shape(f: Formula) -> tuple[int, int, int] | None:
 def anchored_power_exponents(f: Formula) -> frozenset[int]:
     """Exponents k whose k-power periods or roots the anchored search for f reads.
 
-    A ``PowerStack`` handed to ``new_occurrence_exists`` or
-    ``new_assignments`` must track at least these.
+    These are the k of each adjacent k-run, of each root block, and 2 for a
+    fragment with a doubled block. A ``PowerStack`` handed to
+    ``new_occurrence_exists`` or ``new_assignments`` must track them all.
     """
-    ks = set()
-    for frag in _compiled(f):
-        ks.update(k for _, k in _adjacent_runs(frag))
-        if frag.root is not None:
-            ks.add(frag.root[1])
-    return frozenset(ks)
+    return _compiled(f).exponents
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +240,7 @@ class WordPowers:
     q G + r letters. Each (a, b) is read when first asked for and kept
     indexed by period; ``runs`` says from which pass. This is the batch
     producer of the power index that ``_Engine`` reads; the search keeps the
-    same three queries up to date letter by letter in ``PowerStack``.
+    same four queries up to date letter by letter in ``PowerStack``.
     """
 
     def __init__(self, w: bytes):
@@ -233,6 +248,7 @@ class WordPowers:
         self.n = len(w)
         self._runs: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
         self._roots: dict[int, frozenset[bytes]] = {}
+        self._ends: dict[int, dict[int, list[int]]] = {}
 
     def runs(self, a: int, b: int) -> dict[int, list[tuple[int, int]]]:
         """Period p -> maximal runs (start, length >= a p + b), both ascending.
@@ -274,6 +290,18 @@ class WordPowers:
             for i in range(s, s + min(g, span + 1)):
                 yield self.w[i : i + g]
 
+    def ends(self, k: int, pos: int):
+        """Periods g, ascending, for which w[pos - k g : pos] is a k-power; a run
+        of period g from s, ``run`` long, holds those ending at s + k g .. s + run + g."""
+        index = self._ends.get(k)
+        if index is None:
+            index = self._ends[k] = {}
+            for g, runs in self.runs(k - 1, 0).items():
+                for s, run in runs:
+                    for end in range(s + k * g, s + run + g + 1):
+                        index.setdefault(end, []).append(g)
+        return index.get(pos, ())
+
 
 class PowerStack:
     """k-power periods and roots of a word that grows and shrinks at its end.
@@ -281,7 +309,8 @@ class PowerStack:
     ``push`` records the k-powers ending at the new last letter, for each
     tracked exponent k, and ``pop`` forgets exactly what the matching push
     added. Every factor ends at some earlier push, so after pushing w letter
-    by letter the three queries answer exactly as ``WordPowers(w)`` does.
+    by letter the four queries answer exactly as ``WordPowers(w)`` does,
+    ``ends(k, pos)`` with the periods the push at depth pos found.
     The k-power suffixes come from the ``SuffixRuns`` counters of the same
     word: period g ends one exactly when r_g >= (k - 1) g.
     """
@@ -297,24 +326,30 @@ class PowerStack:
         self._by_period: dict[int, dict[int, list[bytes]]] = {k: {} for k in self.exponents}
         self._roots: dict[int, set[bytes]] = {k: set() for k in self.exponents}
         self._added: list[list[tuple[int, bytes]]] = []
+        # by depth, k -> the periods of the k-powers ending there
+        self._ends: list[dict[int, list[int]]] = [dict.fromkeys(self.exponents, ())]
 
     def push(self, buf, n: int) -> None:
         """Account for the letter buf[n-1]; ``runs`` has counted buf[:n] already."""
         if self.runs.n != n:
             raise DomainError(f"suffix runs cover {self.runs.n} letters, the word has {n}")
         added = []
+        ends = {}
         for k, powers in self._suffix_powers:
             roots, by_period = self._roots[k], self._by_period[k]
-            for g in self.runs.hits(powers):
+            ends[k] = periods = list(self.runs.hits(powers))
+            for g in periods:
                 x = bytes(buf[n - g : n])
                 if x not in roots:
                     roots.add(x)
                     by_period.setdefault(g, []).append(x)
                     added.append((k, x))
         self._added.append(added)
+        self._ends.append(ends)
         self.n = n
 
     def pop(self) -> None:
+        self._ends.pop()
         for k, x in reversed(self._added.pop()):
             self._roots[k].remove(x)
             by_period = self._by_period[k]
@@ -342,14 +377,17 @@ class PowerStack:
     def roots_of_period(self, k: int, g: int):
         return self._by_period[k].get(g, ())
 
+    def ends(self, k: int, pos: int):
+        return self._ends[pos][k]
+
 
 class _Engine:
     def __init__(self, w, f: Formula, cap: int, budget: int | None, first_only: bool, powers=None):
         self.first_only = first_only
         self.w: bytes = w.encode("ascii") if isinstance(w, str) else bytes(w)
         self.n = len(self.w)
-        self.frags = _compiled(f)
-        self.nvars = f.variable_count
+        self.plan = _compiled(f)
+        self.frags, self.nvars = self.plan.frags, self.plan.nvars
         self.budget = budget if budget is not None else DEFAULT_STEP_BUDGET
         self.steps = 0
         self.results: set[tuple[bytes, ...]] = set()
@@ -399,10 +437,9 @@ class _Engine:
         """
         if self._lengths is None:
             sets: list[frozenset[int] | None] = [None] * self.nvars
-            for frag in self.frags:
-                for u, k in _adjacent_runs(frag):
-                    allowed = self.powers.periods(k)
-                    sets[u] = allowed if sets[u] is None else sets[u] & allowed
+            for u, k in self.plan.runs:
+                allowed = self.powers.periods(k)
+                sets[u] = allowed if sets[u] is None else sets[u] & allowed
             self._lengths = sets
         return self._lengths[v]
 
@@ -673,22 +710,41 @@ class _Engine:
         self._step(prod(map(len, solutions)))
 
     def _anchored(self, frag: _Frag, j: int, end: int, assign):
-        """Match occurrences ..j of the fragment so its image ends at ``end``."""
+        """Match occurrences ..j of the fragment so its image ends at ``end``: a
+        variable closing a k-run or a doubled block (``_Frag.lrun``, ``ldoubled``)
+        takes the lengths of the k-powers or squares ending there (``ends``)."""
         self._step()
         if j < 0:
             yield assign
             return
-        w = self.w
-        v = frag.occs[j]
+        w, occs = self.w, frag.occs
+        v = occs[j]
         img = assign[v]
         if img is not None:
             L = len(img)
             if end >= L and w[end - L : end] == img:
                 yield from self._anchored(frag, j - 1, end - L, assign)
             return
-        rest = self._rest_min(frag.occs[:j], 0, assign)
-        maxlen = min(self.caps[v], end - rest)
-        for L in self._length_candidates(v, 1, maxlen):
+        k, b = frag.lrun[j], frag.ldoubled[j]
+        if k >= 2:
+            maxlen = min(self.caps[v], (end - self._rest_min(occs[: j - k + 1], 0, assign)) // k)
+            for g in self.powers.ends(k, end):
+                if g > maxlen:
+                    break
+                assign2 = list(assign)
+                assign2[v] = w[end - g : end]
+                yield from self._anchored(frag, j - k, end - k * g, assign2)
+            return
+        if b:  # the block's image is the second half of a square ending here
+            hi = (end - self._rest_min(occs[: j - 2 * b + 1], 0, assign)) // 2
+            for G in self.powers.ends(2, end):
+                if G > hi:
+                    break
+                for assign2 in self._match_exact(occs[j - b + 1 : j + 1], 0, end - G, end, assign, w):
+                    yield from self._anchored(frag, j - 2 * b, end - 2 * G, assign2)
+            return
+        rest = self._rest_min(occs[:j], 0, assign)
+        for L in self._length_candidates(v, 1, min(self.caps[v], end - rest)):
             assign2 = list(assign)
             assign2[v] = w[end - L : end]
             yield from self._anchored(frag, j - 1, end - L, assign2)
@@ -720,9 +776,10 @@ class _Engine:
 
 
 def _guard_variables(f: Formula) -> None:
-    if f.variable_count > MAX_PATTERN_VARIABLES:
+    nvars = _compiled(f).nvars
+    if nvars > MAX_PATTERN_VARIABLES:
         raise DomainError(
-            f"formula has {f.variable_count} variables (> {MAX_PATTERN_VARIABLES}); "
+            f"formula has {nvars} variables (> {MAX_PATTERN_VARIABLES}); "
             "use find_sq_t or a localizer reduction for wide square patterns"
         )
 
@@ -786,14 +843,17 @@ def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None, firs
     formula of root-block fragments only has no new occurrence without one.
     """
     _guard_variables(f)
-    if powers is not None and powers.n != len(w):
-        raise DomainError(f"power index covers {powers.n} letters, the word has {len(w)}")
+    plan = _compiled(f)
+    if powers is not None:
+        if powers.n != len(w):
+            raise DomainError(f"power index covers {powers.n} letters, the word has {len(w)}")
+        if missing := plan.exponents.difference(powers.exponents):
+            raise DomainError(f"power index does not track the exponents {sorted(missing)} of {f}")
     if len(w) == 0:
         return None
     w = w.encode("ascii") if isinstance(w, str) else bytes(w)
-    roots = [frag.root for frag in _compiled(f) if frag.root is not None]
-    delta = _root_delta(w, {k for _, k in roots}, powers) if roots else []
-    if not delta and len(roots) == len(f.fragments):
+    delta = _root_delta(w, plan.roots, powers) if plan.roots else []
+    if not delta and plan.all_roots:
         return None
     eng = _Engine(w, f, len(w), step_budget, first_only, powers)
     eng.solve_anchored(delta)

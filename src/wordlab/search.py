@@ -42,9 +42,12 @@ pop (or a rejected push) undoes exactly that: one undo record, kept only
 when a budget is set, of the squares, overlaps and occurrence assignments
 counted against the budgets, and, in a ``PowerStack``, the k-power periods
 and roots of the word for every exponent k the anchored search reads. A
-push adds only the k-powers ending at the new letter, so the anchored search
-takes its power lengths, power roots and fresh power images from that stack
-instead of rescanning the word's period runs.
+push adds only the k-powers ending at the new letter and keeps their periods
+by depth (``PowerStack.ends``), so the anchored search takes its power
+lengths, power roots and fresh power images from that stack instead of
+rescanning the word's period runs. Matching right to left, a variable that
+closes a k-run or a doubled block takes its lengths from the periods of the
+k-powers or squares ending where its image ends.
 
 The anchored search seeds each fragment by its own shape, since a new
 occurrence has a fragment whose image is a new factor, hence a suffix. A

@@ -113,6 +113,12 @@ def scan_power_roots(w, k, g):
     ]
 
 
+def scan_power_ends(w, k, pos):
+    """Periods g, ascending, with w[pos - k g : pos] a k-power, as
+    ``WordPowers.ends`` gives them: each suffix of w[:pos] tried in turn."""
+    return [g for g in range(1, pos // k + 1) if w[pos - k * g : pos] == w[pos - g : pos] * k]
+
+
 def _repetition_violations(w, c):
     n = len(w)
     cands = []

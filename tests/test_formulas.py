@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import mutated_periodic
 from oracles import naive_has_occurrence, naive_occurrences
-from period_scan import scan_power_roots
+from period_scan import scan_power_ends, scan_power_roots
 from wordlab import formulas, repetitions
 from wordlab.constraints import check, parse_constraints
 from wordlab.errors import DomainError, ParseError, ResourceBudgetError
@@ -278,14 +280,20 @@ def test_power_stack_matches_whole_word_powers(ops):
     buf = bytearray(len(ops))
     for op in ops:
         if op < 0:
-            if stack.n:
-                stack.pop()
-                runs.pop()
-            continue
-        buf[stack.n] = ord("0") + op
-        runs.push(op)
-        stack.push(buf, stack.n + 1)
+            if not stack.n:
+                continue
+            stack.pop()
+            runs.pop()
+        else:
+            buf[stack.n] = ord("0") + op
+            runs.push(op)
+            stack.push(buf, stack.n + 1)
         word = WordPowers(bytes(buf[: stack.n]))
+        for k in ks:
+            for pos in range(stack.n + 1):
+                assert list(stack.ends(k, pos)) == list(word.ends(k, pos)), (k, pos)
+        if op < 0:
+            continue
         before = WordPowers(bytes(buf[: stack.n - 1]))
         for k in ks:
             assert {x for kx, x in stack.added() if kx == k} == word.roots(k) - before.roots(k)
@@ -311,6 +319,8 @@ def test_word_powers_match_period_scan(w):
         assert word.roots(k) == {x.encode() for roots in by_period.values() for x in roots}
         for g, roots in by_period.items():
             assert [x.decode() for x in word.roots_of_period(k, g)] == roots
+        for pos in range(len(w) + 1):
+            assert list(word.ends(k, pos)) == scan_power_ends(w, k, pos), (k, pos)
     # the a = 1 indexes are read off square_runs, the others from their own pass
     for a in range(4):
         for b in range(3) if a else (1, 2):
@@ -360,8 +370,9 @@ def _stacked_prefixes(w, f):
 @given(st.one_of(st.text(alphabet="01", max_size=24), st.text(alphabet="012", max_size=18)))
 def test_anchored_search_with_and_without_a_power_stack(w):
     """On every prefix both searches give the same answers: every occurrence
-    the prefix one letter shorter lacks is reported, and only occurrences."""
-    for f in FORMULAS + ROOT_FORMULAS + MIXED_FORMULAS:
+    the prefix one letter shorter lacks is reported, and only occurrences.
+    The doubled-block and pivot formulas take lengths from ``ends``."""
+    for f in FORMULAS + ROOT_FORMULAS + MIXED_FORMULAS + DOUBLED_BLOCK_FORMULAS + PIVOT_FORMULAS:
         before = set()
         for prefix, stack in _stacked_prefixes(w, f):
             new = new_assignments(prefix, f)
@@ -421,6 +432,35 @@ def test_anchored_search_rejects_a_power_stack_of_another_length():
     f = parse_formula("AA.ABAB.BB")
     with pytest.raises(DomainError):
         new_occurrence_exists("0101", f, powers=PowerStack((2,), SuffixRuns(2, 4)))
+
+
+@pytest.mark.parametrize("text, exponents, missing", [("AAA.BB", (2,), "[3]"), ("ABCBC", (3,), "[2]")])
+def test_anchored_search_rejects_a_power_stack_missing_an_exponent(text, exponents, missing):
+    """AAA reads cubes; the doubled block BCBC reads the squares ending at the end."""
+    f = parse_formula(text)
+    runs = SuffixRuns(2, 4)
+    stack = PowerStack(exponents, runs)
+    buf = bytearray(b"0000")
+    for n in range(1, 5):
+        runs.push(0)
+        stack.push(buf, n)
+    with pytest.raises(DomainError, match=re.escape(missing)):
+        new_occurrence_exists("0000", f, powers=stack)
+
+
+@pytest.mark.parametrize("morphism, text, most", [("01/00", "AAABABAA", 5_000), ("01/10", "ABBA", 60_000)])
+def test_anchored_lengths_come_from_the_powers_ending_there(morphism, text, most):
+    """Summed over every prefix of 300 letters, the anchored search with a
+    stack takes its run and doubled-block lengths from the powers ending at
+    each position: 2 459 steps for AAABABAA on the period-doubling word
+    (47 980 trying every length) and 40 477 for ABBA on Thue-Morse (256 760)."""
+    w = fixed_point_prefix(parse_morphism(morphism), 300)
+    f = parse_formula(text)
+    steps = 0
+    for prefix, stack in _stacked_prefixes(w, f):
+        eng = formulas._anchored_engine(prefix, f, None, stack, first_only=False)
+        steps += 0 if eng is None else eng.steps
+    assert steps <= most
 
 
 def test_step_budget_carries_partial_results():
