@@ -320,14 +320,17 @@ def parse_constraints(text: str) -> ConstraintSet:
     between formulas. An allow-list with no line is None (no such
     constraint), one with only empty lines the empty set.
     """
-    d, _ = read_directives(text.splitlines(), "constraint file", _CONSTRAINT_DIRECTIVES)
+    d, line_of = read_directives(text.splitlines(), "constraint file", _CONSTRAINT_DIRECTIVES)
     if "alphabet_size" not in d:
         raise ParseError("constraint file must declare 'alphabet K'")
     for slot in ("forbidden_factors", "allowed_squares", "allowed_overlaps"):
         if slot in d:
             d[slot] = frozenset(d[slot])
-    graph = d.get("graph")
-    if graph is not None and graph.vertex_count < d["alphabet_size"]:
+    if (graph := d.get("graph")) is not None:
+        validate_word("", d["alphabet_size"])  # a bad size is named as such, not as a vertex
+        if graph.vertex_count > d["alphabet_size"]:
+            where = f"constraint file line {line_of['graph']}: graph: vertex {graph.vertex_count - 1}"
+            raise ParseError(f"{where} is outside the alphabet 0..{d['alphabet_size'] - 1}")
         d["graph"] = LabelledGraph(d["alphabet_size"], graph.edges)
     return ConstraintSet(**d)
 

@@ -25,12 +25,12 @@ block on the roots of its exponent that letter added, through the same
 routine, and any other on its images ending there, matched right to left
 (``_anchored``); a variable closing a k-run or a doubled block takes the
 periods of the k-powers or squares ending at its position (``ends``).
-Roots, periods, runs and ends come from one index with two producers:
-``WordPowers`` reads a whole word's runs per run threshold m(p) = a p + b,
-those for a = 1 (squares, doubled blocks, ABAB roots, ABABA tails) off
-``repetitions.square_runs`` and any other from a ``repetitions.long_runs``
-pass of its own, and ``PowerStack`` is kept up to date by the search, one
-letter at a time.
+Those roots and ends come from a ``PowerStack`` that the DFS keeps one
+letter at a time; a formula that reads none needs no stack. ``WordPowers``
+reads a whole word's runs per run threshold m(p) = a p + b, those for a = 1
+(squares, doubled blocks, ABAB roots, ABABA tails) off ``square_runs`` and
+any other from a ``long_runs`` pass of its own, for the whole-word searches
+and for the runs of every search's forward matches and tail blocks.
 """
 
 from __future__ import annotations
@@ -221,8 +221,9 @@ def anchored_power_exponents(f: Formula) -> frozenset[int]:
     """Exponents k whose k-power periods or roots the anchored search for f reads.
 
     These are the k of each adjacent k-run, of each root block, and 2 for a
-    fragment with a doubled block. A ``PowerStack`` handed to
-    ``new_occurrence_exists`` or ``new_assignments`` must track them all.
+    fragment with a doubled block. Unless the set is empty,
+    ``new_occurrence_exists`` and ``new_assignments`` need a ``PowerStack``
+    that tracks them all.
     """
     return _compiled(f).exponents
 
@@ -238,9 +239,9 @@ class WordPowers:
     m(p) = a p + b long: (k - 1) g for the k-powers of period g, P for the
     doubled blocks uu with |u| = P, (q - 1) G + r for the periodic blocks of
     q G + r letters. Each (a, b) is read when first asked for and kept
-    indexed by period; ``runs`` says from which pass. This is the batch
-    producer of the power index that ``_Engine`` reads; the search keeps the
-    same four queries up to date letter by letter in ``PowerStack``.
+    indexed by period; ``runs`` says from which pass. ``periods``, ``roots``
+    and ``roots_of_period`` are the three queries a ``PowerStack`` answers
+    too, so ``_Engine`` reads either.
     """
 
     def __init__(self, w: bytes):
@@ -248,7 +249,6 @@ class WordPowers:
         self.n = len(w)
         self._runs: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
         self._roots: dict[int, frozenset[bytes]] = {}
-        self._ends: dict[int, dict[int, list[int]]] = {}
 
     def runs(self, a: int, b: int) -> dict[int, list[tuple[int, int]]]:
         """Period p -> maximal runs (start, length >= a p + b), both ascending.
@@ -290,18 +290,6 @@ class WordPowers:
             for i in range(s, s + min(g, span + 1)):
                 yield self.w[i : i + g]
 
-    def ends(self, k: int, pos: int):
-        """Periods g, ascending, for which w[pos - k g : pos] is a k-power; a run
-        of period g from s, ``run`` long, holds those ending at s + k g .. s + run + g."""
-        index = self._ends.get(k)
-        if index is None:
-            index = self._ends[k] = {}
-            for g, runs in self.runs(k - 1, 0).items():
-                for s, run in runs:
-                    for end in range(s + k * g, s + run + g + 1):
-                        index.setdefault(end, []).append(g)
-        return index.get(pos, ())
-
 
 class PowerStack:
     """k-power periods and roots of a word that grows and shrinks at its end.
@@ -309,8 +297,8 @@ class PowerStack:
     ``push`` records the k-powers ending at the new last letter, for each
     tracked exponent k, and ``pop`` forgets exactly what the matching push
     added. Every factor ends at some earlier push, so after pushing w letter
-    by letter the four queries answer exactly as ``WordPowers(w)`` does,
-    ``ends(k, pos)`` with the periods the push at depth pos found.
+    by letter the three queries of ``WordPowers(w)`` answer as there, and
+    ``ends(k, pos)``, for the anchored search, with what the push at pos found.
     The k-power suffixes come from the ``SuffixRuns`` counters of the same
     word: period g ends one exactly when r_g >= (k - 1) g.
     """
@@ -582,6 +570,7 @@ class _Engine:
         if index is not None:
             for i in index:
                 for assign2 in self._match_at(frag, frag.pivot, i, assign):
+                    # every head variable recurs from the pivot on, so is assigned: no ``ends``
                     yield from self._anchored(frag, frag.pivot - 1, i, assign2)
             return
         for pos in range(self.n - total_min + 1):
@@ -818,24 +807,6 @@ def avoids(w: str, f: Formula, step_budget: int | None = None) -> bool:
     return not has_occurrence(w, f, step_budget)
 
 
-def _root_delta(w: bytes, ks, powers: PowerStack | None) -> list[tuple[int, bytes]]:
-    """(k, x) for each k in ks and each root x with x^k a factor of w, not of w[:-1].
-
-    Read off ``powers`` when given; otherwise each such x^k is a suffix of w
-    whose first occurrence is at the end.
-    """
-    if powers is not None:
-        return [(k, x) for k, x in powers.added() if k in ks]
-    n = len(w)
-    delta = []
-    for k in sorted(ks):
-        for g in range(1, n // k + 1):
-            if w[n - 1 - g] == w[n - 1] and w[n - k * g : n - g] == w[n - (k - 1) * g :]:
-                if w.find(w[n - k * g :]) == n - k * g:
-                    delta.append((k, w[n - g :]))
-    return delta
-
-
 def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None, first_only: bool):
     """The engine after its anchored search, or None when no occurrence can be new.
 
@@ -844,15 +815,13 @@ def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None, firs
     """
     _guard_variables(f)
     plan = _compiled(f)
-    if powers is not None:
-        if powers.n != len(w):
-            raise DomainError(f"power index covers {powers.n} letters, the word has {len(w)}")
-        if missing := plan.exponents.difference(powers.exponents):
-            raise DomainError(f"power index does not track the exponents {sorted(missing)} of {f}")
+    if missing := plan.exponents.difference(() if powers is None else powers.exponents):
+        raise DomainError(f"anchored search for {f} needs a PowerStack of the exponents {sorted(missing)}")
+    if powers is not None and powers.n != len(w):
+        raise DomainError(f"power index covers {powers.n} letters, the word has {len(w)}")
     if len(w) == 0:
         return None
-    w = w.encode("ascii") if isinstance(w, str) else bytes(w)
-    delta = _root_delta(w, plan.roots, powers) if plan.roots else []
+    delta = [(k, x) for k, x in powers.added() if k in plan.roots] if plan.roots else []
     if not delta and plan.all_roots:
         return None
     eng = _Engine(w, f, len(w), step_budget, first_only, powers)
@@ -871,10 +840,11 @@ def new_occurrence_exists(
     that is a power, a doubled block or an r = 0 periodic block is seeded
     from the roots of its exponent that the last letter added, and any other
     from its images ending at the last letter; a formula made only of the
-    former is False with no search when no root is new. ``powers``, if
-    given, is a ``PowerStack`` over ``w`` tracking
-    ``anchored_power_exponents(f)``; it replaces the whole-word scan and
-    supplies those roots.
+    former is False with no search when no root is new. ``powers``, a
+    ``PowerStack`` over ``w`` tracking ``anchored_power_exponents(f)``,
+    supplies those roots and the powers ending at each position; only a
+    formula with none, such as ``ABCBA``, runs without it, and a missing
+    stack or exponent is a ``DomainError`` naming the exponents.
     """
     eng = _anchored_engine(w, f, step_budget, powers, first_only=True)
     return eng is not None and bool(eng.results)

@@ -9,7 +9,9 @@ differential tests compare two independent computations of the same runs.
 
 ``PeriodScanChecker`` is likewise the search checker that
 ``repetitions.SuffixRuns`` replaced: every push compares the word's suffix
-with itself once per period.
+with itself once per period. It decides formulas and the occurrence budget
+with the whole-word searches, so it shares no code with the anchored search
+and the power stack of the checker it is compared against.
 """
 
 from dataclasses import replace
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from wordlab.constraints import _KIND_PRIORITY, Violation, check
-from wordlab.formulas import new_assignments, new_occurrence_exists
+from wordlab.formulas import find_occurrences, has_occurrence
 
 
 def scan_period_runs(w, p, min_len=1):
@@ -115,7 +117,7 @@ def scan_power_roots(w, k, g):
 
 def scan_power_ends(w, k, pos):
     """Periods g, ascending, with w[pos - k g : pos] a k-power, as
-    ``WordPowers.ends`` gives them: each suffix of w[:pos] tried in turn."""
+    ``PowerStack.ends`` gives them: each suffix of w[:pos] tried in turn."""
     return [g for g in range(1, pos // k + 1) if w[pos - k * g : pos] == w[pos - g : pos] * k]
 
 
@@ -210,9 +212,12 @@ class PeriodScanChecker:
 
     One-variable powers are scanned per period like the other repetitions.
     Every other formula, the periodic shapes ``ABAB``, ``ABABA``, ``ABCABC``,
-    ... that the checker decides on its counters included, and the
-    occurrence budget run the engine's generic anchored search on the whole
-    word, with no power stack.
+    ... that the checker decides on its counters included, is decided by
+    ``has_occurrence`` on the whole word, and the occurrence budget by
+    counting ``find_occurrences`` of the whole word against those seen. That
+    is exact, since every shorter prefix on the branch passed: the word
+    without its last letter avoids each formula, and the seen set holds all
+    of its occurrences.
     """
 
     def __init__(self, c, max_length):
@@ -298,14 +303,14 @@ class PeriodScanChecker:
                 if buf[n - k * g : n - g] == buf[n - (k - 1) * g : n]:
                     return "formula", None
 
-        wb = bytes(buf[:n])
-        if any(new_occurrence_exists(wb, f) for f in self.formulas):
+        w = self.word()
+        if any(has_occurrence(w, f) for f in self.formulas):
             return "formula", None
         new_occ = []
         if c.occurrence_budget is not None:
             f, budget = c.occurrence_budget
             seen = self._seen(2)
-            new_occ = [a for a in new_assignments(wb, f) if a not in seen]
+            new_occ = [a for a in find_occurrences(w, f, n) if a not in seen]
             if len(seen) + len(new_occ) > budget:
                 return "occurrence-budget", None
         return None, (new_sq, new_ov, new_occ)

@@ -389,6 +389,14 @@ def test_a_malformed_manifest_exits_2_naming_its_line(tmp_path, capsys, text, li
     assert err.startswith(f"error: manifest line {line}:"), err
 
 
+@pytest.mark.parametrize("text, vertex", [("alphabet 3\ngraph-edges 0-1 1-7\n", 7), ("alphabet 2\ngraph K3\n", 2)])
+def test_a_graph_vertex_outside_the_alphabet_exits_2_naming_its_line(tmp_path, capsys, text, vertex):
+    (tmp_path / "g.cons").write_text(text)
+    code, out, err = run(capsys, "search", "--constraints", str(tmp_path / "g.cons"), "--budget-length", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: constraint file line 2: graph: vertex {vertex} is outside"), err
+
+
 @pytest.mark.parametrize("error", [RuntimeError("boom"), WordlabError("bare")])
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, error):
     """An exception no handler expects exits 4, never 1: a bug is not a refutation."""

@@ -68,8 +68,17 @@ def test_parse_constraints_errors():
         parse_constraints("alphabet 2\nallow-overlaps 0101\n")  # not a minimal overlap
     with pytest.raises(AlphabetError):
         parse_constraints("alphabet 2\nforbid-factor 02\n")
-    with pytest.raises(DomainError):
-        parse_constraints("alphabet 3\ngraph P5\n")  # vertex count mismatch
+    # a graph vertex outside the alphabet names its line and the vertex
+    for text, line, vertex in (
+        ("alphabet 3\ngraph P5\n", 2, 4),
+        ("alphabet 3\ngraph-edges 0-1 1-7\n", 2, 7),
+        ("# K3\nalphabet 2\n\ngraph K3\n", 4, 2),
+    ):
+        with pytest.raises(ParseError, match=f"^constraint file line {line}: graph: vertex {vertex} is outside"):
+            parse_constraints(text)
+    for size in (0, 11):  # the size is at fault, not a vertex or the vertex count
+        with pytest.raises(AlphabetError, match=f"alphabet size must be 1..10, got {size}"):
+            parse_constraints(f"alphabet {size}\ngraph K3\n")
     for cap in ("1/0", "0/0"):
         with pytest.raises(ParseError, match="line 2:"):
             parse_constraints(f"alphabet 2\nexponent-cap {cap}\n")
