@@ -76,7 +76,8 @@ class ConstraintSet:
             if not fct:
                 raise ParseError("forbidden factor must be non-empty")
             validate_word(fct, self.alphabet_size)
-        for f in self.forbidden_formulas:
+        budgeted = () if self.occurrence_budget is None else self.occurrence_budget[:1]
+        for f in (*self.forbidden_formulas, *budgeted):
             if f.variable_count > MAX_PATTERN_VARIABLES:
                 raise DomainError(
                     f"formula {f} has too many variables; use forbid-squares-min-period "
@@ -243,7 +244,7 @@ def read_directives(lines, where: str, spec: dict) -> tuple[dict, dict]:
     keys that line uses (``graph`` and ``graph-edges`` fill one slot), as a
     second line would silently replace the first. A slot with no line is
     absent from both dicts. Unknown keys are errors, and every error is a
-    ParseError that starts ``{where} line N:``.
+    ParseError (an ``AlphabetError`` stays one) that starts ``{where} line N:``.
     """
     values: dict = {}
     line_of: dict = {}
@@ -263,7 +264,8 @@ def read_directives(lines, where: str, spec: dict) -> tuple[dict, dict]:
             else:
                 values[slot] = convert(args)
         except (ValueError, ParseError, DomainError) as e:
-            raise ParseError(f"{where} line {ln}: {key}: {e}") from e
+            kind = type(e) if isinstance(e, ParseError) else ParseError
+            raise kind(f"{where} line {ln}: {key}: {e}") from e
         line_of[slot] = ln
     return values, line_of
 
@@ -296,7 +298,7 @@ def _graph_edges(args) -> LabelledGraph:
 
 # slots are ConstraintSet fields
 _CONSTRAINT_DIRECTIVES = {
-    "alphabet": ("alphabet_size", one(int), False),
+    "alphabet": ("alphabet_size", one(lambda tok: ConstraintSet(int(tok)).alphabet_size), False),
     "forbid-factor": ("forbidden_factors", some(str), True),
     "forbid-formula": ("forbidden_formulas", some(parse_formula), True),
     "forbid-squares-min-period": ("sq_min_period", one(int), False),
@@ -318,16 +320,29 @@ def parse_constraints(text: str) -> ConstraintSet:
     ``forbid-formula``, ``allow-squares`` and ``allow-overlaps`` lines add
     up; ``forbid-formula`` keeps file order, which breaks ``check``'s ties
     between formulas. An allow-list with no line is None (no such
-    constraint), one with only empty lines the empty set.
+    constraint), one with only empty lines the empty set. Once the alphabet
+    is known, a second pass checks each other line's value alone, as
+    ``ConstraintSet`` checks it, so that a bad value names its line.
     """
-    d, line_of = read_directives(text.splitlines(), "constraint file", _CONSTRAINT_DIRECTIVES)
+    lines = text.splitlines()
+    d, line_of = read_directives(lines, "constraint file", _CONSTRAINT_DIRECTIVES)
     if "alphabet_size" not in d:
         raise ParseError("constraint file must declare 'alphabet K'")
+
+    def checked(slot, convert):
+        def read(args):
+            value = convert(args)
+            ConstraintSet(**{"alphabet_size": d["alphabet_size"], slot: value})
+            return value
+        return read
+
+    spec = {key: (slot, convert if slot == "graph" else checked(slot, convert), repeats)
+            for key, (slot, convert, repeats) in _CONSTRAINT_DIRECTIVES.items()}
+    read_directives(lines, "constraint file", spec)
     for slot in ("forbidden_factors", "allowed_squares", "allowed_overlaps"):
         if slot in d:
             d[slot] = frozenset(d[slot])
     if (graph := d.get("graph")) is not None:
-        validate_word("", d["alphabet_size"])  # a bad size is named as such, not as a vertex
         if graph.vertex_count > d["alphabet_size"]:
             where = f"constraint file line {line_of['graph']}: graph: vertex {graph.vertex_count - 1}"
             raise ParseError(f"{where} is outside the alphabet 0..{d['alphabet_size'] - 1}")

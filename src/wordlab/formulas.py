@@ -2,7 +2,9 @@
 
 A formula is dot-separated fragments; an occurrence is a non-erasing
 assignment of words to variables making every fragment image a factor of the
-searched word. Occurrences are identified by the tuple of variable images.
+searched word. Words and images are ``str``, and occurrences are identified
+by the tuple of variable images. A fragment whose variables are all assigned
+is tested with ``in`` against the word, whatever its shape.
 
 The engine joins each group of fragments that share variables on its own; a
 group with no solution ends the search. A fragment with a block of variables
@@ -239,16 +241,15 @@ class WordPowers:
     m(p) = a p + b long: (k - 1) g for the k-powers of period g, P for the
     doubled blocks uu with |u| = P, (q - 1) G + r for the periodic blocks of
     q G + r letters. Each (a, b) is read when first asked for and kept
-    indexed by period; ``runs`` says from which pass. ``periods``, ``roots``
-    and ``roots_of_period`` are the three queries a ``PowerStack`` answers
-    too, so ``_Engine`` reads either.
+    indexed by period; ``runs`` says from which pass. ``periods`` and
+    ``roots_of_period`` are the two queries a ``PowerStack`` answers too, so
+    ``_Engine`` reads either.
     """
 
-    def __init__(self, w: bytes):
+    def __init__(self, w: str):
         self.w = w
         self.n = len(w)
         self._runs: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
-        self._roots: dict[int, frozenset[bytes]] = {}
 
     def runs(self, a: int, b: int) -> dict[int, list[tuple[int, int]]]:
         """Period p -> maximal runs (start, length >= a p + b), both ascending.
@@ -264,7 +265,7 @@ class WordPowers:
         index = self._runs.get((a, b))
         if index is None:
             index = {}
-            w, m = self.w.decode("ascii"), lambda p: a * p + b
+            w, m = self.w, lambda p: a * p + b
             for p, s, run in square_runs(w) if a == 1 else long_runs(w, range(1, self.n), m):
                 if run >= m(p):
                     index.setdefault(p, []).append((s, run))
@@ -274,14 +275,6 @@ class WordPowers:
     def periods(self, k: int):
         """Periods g for which some k-power of period g occurs in w."""
         return self.runs(k - 1, 0).keys()
-
-    def roots(self, k: int) -> frozenset[bytes]:
-        """All x such that x^k is a factor of w."""
-        roots = self._roots.get(k)
-        if roots is None:
-            roots = frozenset(x for g in self.periods(k) for x in self.roots_of_period(k, g))
-            self._roots[k] = roots
-        return roots
 
     def roots_of_period(self, k: int, g: int):
         """Roots x of length g with x^k a factor, by run and position; may repeat."""
@@ -294,10 +287,11 @@ class WordPowers:
 class PowerStack:
     """k-power periods and roots of a word that grows and shrinks at its end.
 
-    ``push`` records the k-powers ending at the new last letter, for each
-    tracked exponent k, and ``pop`` forgets exactly what the matching push
+    ``push(w)`` takes the word one letter longer and records the k-powers
+    ending at its last letter, for each tracked exponent k; a root already
+    known is not added again. ``pop`` forgets exactly what the matching push
     added. Every factor ends at some earlier push, so after pushing w letter
-    by letter the three queries of ``WordPowers(w)`` answer as there, and
+    by letter the two queries of ``WordPowers(w)`` answer as there, and
     ``ends(k, pos)``, for the anchored search, with what the push at pos found.
     The k-power suffixes come from the ``SuffixRuns`` counters of the same
     word: period g ends one exactly when r_g >= (k - 1) g.
@@ -311,14 +305,15 @@ class PowerStack:
             (k, runs.threshold(lambda p, k=k: (k - 1) * p)) for k in self.exponents
         )
         # k -> period -> distinct roots of that length, in the order found
-        self._by_period: dict[int, dict[int, list[bytes]]] = {k: {} for k in self.exponents}
-        self._roots: dict[int, set[bytes]] = {k: set() for k in self.exponents}
-        self._added: list[list[tuple[int, bytes]]] = []
+        self._by_period: dict[int, dict[int, list[str]]] = {k: {} for k in self.exponents}
+        self._roots: dict[int, set[str]] = {k: set() for k in self.exponents}
+        self._added: list[list[tuple[int, str]]] = []
         # by depth, k -> the periods of the k-powers ending there
         self._ends: list[dict[int, list[int]]] = [dict.fromkeys(self.exponents, ())]
 
-    def push(self, buf, n: int) -> None:
-        """Account for the letter buf[n-1]; ``runs`` has counted buf[:n] already."""
+    def push(self, w: str) -> None:
+        """Record the k-powers ending at the last letter of w, which ``runs`` has counted."""
+        n = len(w)
         if self.runs.n != n:
             raise DomainError(f"suffix runs cover {self.runs.n} letters, the word has {n}")
         added = []
@@ -327,7 +322,7 @@ class PowerStack:
             roots, by_period = self._roots[k], self._by_period[k]
             ends[k] = periods = list(self.runs.hits(powers))
             for g in periods:
-                x = bytes(buf[n - g : n])
+                x = w[n - g :]
                 if x not in roots:
                     roots.add(x)
                     by_period.setdefault(g, []).append(x)
@@ -347,7 +342,7 @@ class PowerStack:
                 del by_period[len(x)]
         self.n -= 1
 
-    def added(self) -> list[tuple[int, bytes]]:
+    def added(self) -> list[tuple[int, str]]:
         """The (k, root) pairs the last push added, by k and then period, ascending.
 
         Root x of exponent k is here exactly when x^k is a factor of the
@@ -359,9 +354,6 @@ class PowerStack:
     def periods(self, k: int):
         return self._by_period[k].keys()
 
-    def roots(self, k: int) -> set[bytes]:
-        return self._roots[k]
-
     def roots_of_period(self, k: int, g: int):
         return self._by_period[k].get(g, ())
 
@@ -370,17 +362,17 @@ class PowerStack:
 
 
 class _Engine:
-    def __init__(self, w, f: Formula, cap: int, budget: int | None, first_only: bool, powers=None):
+    def __init__(self, w: str, f: Formula, cap: int, budget: int | None, first_only: bool, powers=None):
         self.first_only = first_only
-        self.w: bytes = w.encode("ascii") if isinstance(w, str) else bytes(w)
-        self.n = len(self.w)
+        self.w = w
+        self.n = len(w)
         self.plan = _compiled(f)
         self.frags, self.nvars = self.plan.frags, self.plan.nvars
         self.budget = budget if budget is not None else DEFAULT_STEP_BUDGET
         self.steps = 0
-        self.results: set[tuple[bytes, ...]] = set()
+        self.results: set[tuple[str, ...]] = set()
         self._power_index: dict[int, dict[int, list[int]] | None] = {}
-        self.word = WordPowers(self.w)
+        self.word = WordPowers(w)
         self.powers = self.word if powers is None else powers
         # per-variable cap: other occurrences in a fragment need >= 1 letter each
         caps = [cap] * self.nvars
@@ -395,7 +387,7 @@ class _Engine:
         if self.steps > self.budget:
             raise ResourceBudgetError(
                 "occurrence search exceeded its step budget (partial results attached)",
-                partial=self.decoded_results(),
+                partial=self.results,
             )
 
     def _powers(self, k: int) -> dict[int, list[int]] | None:
@@ -438,14 +430,9 @@ class _Engine:
         return [g for g in sorted(allowed) if lo <= g <= hi]
 
     def _assigned_fragment_ok(self, frag: _Frag, assign) -> bool:
-        """Membership of a fully-assigned fragment image, using power-root sets
-        to avoid repeated full-text scans for x^k-shaped images."""
+        """True iff the image of a fully assigned fragment is a factor of w; one step."""
         self._step()
-        if frag.root is not None:
-            block, k = frag.root
-            return b"".join(assign[v] for v in block) in self.powers.roots(k)
-        img = b"".join(assign[v] for v in frag.occs)
-        return self.w.find(img) >= 0
+        return "".join(assign[v] for v in frag.occs) in self.w
 
     # -- fragment matchers ------------------------------------------------
 
@@ -524,7 +511,7 @@ class _Engine:
             assign2[v] = w[pos : pos + L]
             yield from self._match_at(frag, j + k, pos + k * L, assign2)
 
-    def _match_exact(self, occs, j: int, pos: int, end: int, assign, w: bytes):
+    def _match_exact(self, occs, j: int, pos: int, end: int, assign, w: str):
         """Match occurrences j.. exactly filling w[pos:end]."""
         self._step()
         while j < len(occs) and assign[occs[j]] is not None:
@@ -690,9 +677,9 @@ class _Engine:
             solutions.append(list(islice(self._join(group, assign), take)))
             if not solutions[-1]:
                 return
-        # b"" for the images a group leaves to the others: max takes the one set
-        parts = [[tuple(x or b"" for x in a) for a in found] for found in solutions]
-        base = tuple(x or b"" for x in assign)
+        # "" for the images a group leaves to the others: max takes the one set
+        parts = [[tuple(x or "" for x in a) for a in found] for found in solutions]
+        base = tuple(x or "" for x in assign)
         occurrences = (tuple(map(max, base, *combo)) for combo in product(*parts))
         # add what the budget pays for, then charge them all
         self.results.update(islice(occurrences, self.budget - self.steps))
@@ -760,9 +747,6 @@ class _Engine:
                 if self.first_only and self.results:
                     return
 
-    def decoded_results(self) -> set[tuple[str, ...]]:
-        return {tuple(map(bytes.decode, t)) for t in self.results}
-
 
 def _guard_variables(f: Formula) -> None:
     nvars = _compiled(f).nvars
@@ -780,7 +764,7 @@ def find_occurrences(w: str, f: Formula, cap: int, step_budget: int | None = Non
         raise DomainError("image length cap must be >= 1")
     eng = _Engine(w, f, cap, step_budget, first_only=False)
     eng.solve(list(range(len(eng.frags))), [None] * eng.nvars)
-    return eng.decoded_results()
+    return eng.results
 
 
 def first_occurrence(w: str, f: Formula, step_budget: int | None = None) -> tuple[str, ...] | None:
@@ -795,7 +779,7 @@ def first_occurrence(w: str, f: Formula, step_budget: int | None = None) -> tupl
         return None
     eng = _Engine(w, f, len(w), step_budget, first_only=True)
     eng.solve(list(range(len(eng.frags))), [None] * eng.nvars)
-    return next(iter(eng.decoded_results()), None)
+    return next(iter(eng.results), None)
 
 
 def has_occurrence(w: str, f: Formula, step_budget: int | None = None) -> bool:
@@ -807,7 +791,7 @@ def avoids(w: str, f: Formula, step_budget: int | None = None) -> bool:
     return not has_occurrence(w, f, step_budget)
 
 
-def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None, first_only: bool):
+def _anchored_engine(w: str, f: Formula, step_budget, powers: PowerStack | None, first_only: bool):
     """The engine after its anchored search, or None when no occurrence can be new.
 
     Root-block fragments are seeded from the roots the last letter added; a
@@ -830,7 +814,7 @@ def _anchored_engine(w, f: Formula, step_budget, powers: PowerStack | None, firs
 
 
 def new_occurrence_exists(
-    w, f: Formula, step_budget: int | None = None, powers: PowerStack | None = None
+    w: str, f: Formula, step_budget: int | None = None, powers: PowerStack | None = None
 ) -> bool:
     """True if w has an occurrence of f that w[:-1] has not; False if w has none.
 
@@ -841,17 +825,18 @@ def new_occurrence_exists(
     from the roots of its exponent that the last letter added, and any other
     from its images ending at the last letter; a formula made only of the
     former is False with no search when no root is new. ``powers``, a
-    ``PowerStack`` over ``w`` tracking ``anchored_power_exponents(f)``,
-    supplies those roots and the powers ending at each position; only a
-    formula with none, such as ``ABCBA``, runs without it, and a missing
-    stack or exponent is a ``DomainError`` naming the exponents.
+    ``PowerStack`` whose last push took ``w``, tracking
+    ``anchored_power_exponents(f)``, supplies those roots and the powers
+    ending at each position; only a formula with none, such as ``ABCBA``,
+    runs without it, and a missing stack or exponent is a ``DomainError``
+    naming the exponents.
     """
     eng = _anchored_engine(w, f, step_budget, powers, first_only=True)
     return eng is not None and bool(eng.results)
 
 
 def new_assignments(
-    w, f: Formula, step_budget: int | None = None, powers: PowerStack | None = None
+    w: str, f: Formula, step_budget: int | None = None, powers: PowerStack | None = None
 ) -> set[tuple[str, ...]]:
     """Occurrences of f in w, including every one that w[:-1] has not.
 
@@ -862,4 +847,4 @@ def new_assignments(
     keeps. ``powers`` is as for ``new_occurrence_exists``.
     """
     eng = _anchored_engine(w, f, step_budget, powers, first_only=False)
-    return set() if eng is None else eng.decoded_results()
+    return set() if eng is None else eng.results

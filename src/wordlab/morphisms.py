@@ -147,29 +147,30 @@ def fixed_point_prefix(m: Morphism, n: int, max_letters: int | None = None) -> s
 
 
 def morphic_prefix(outer: Morphism, inner: Morphism, n: int, max_letters: int | None = None) -> str:
-    """Length-``n`` prefix of outer(fixed point of inner)."""
+    """Length-``n`` prefix of outer(fixed point of inner).
+
+    With inner(0) = 0u the fixed point is 0 u h(u) h^2(u) ..., h = inner: the
+    letter sets S_0 of u and S_{j+1} of h(S_j) enter a cycle, whose letters
+    occur infinitely often, so the image is finite iff outer erases them all.
+    """
     budget = max_letters if max_letters is not None else DEFAULT_LETTER_BUDGET
-    if budget < 1:
-        raise DomainError(f"letter budget must be positive, got {budget}")
+    fixed_point_prefix(inner, 0, max_letters=budget)  # the budget, and inner has a fixed point
     if n < 0:
         raise DomainError("prefix length must be non-negative")
-    reach = reachable_letters(inner)
-    if max(reach) >= outer.alphabet_size:
+    if max(reachable_letters(inner)) >= outer.alphabet_size:
         raise DomainError("outer morphism is not defined on every letter of the fixed point")
-    if all(outer.images[a] == "" for a in reach):
-        raise DomainError("outer morphism erases every reachable letter; image is finite")
+    sets = [frozenset(map(int, inner.images[0][1:]))]
+    while (s := frozenset(int(ch) for a in sets[-1] for ch in inner.images[a])) not in sets:
+        sets.append(s)
+    if all(outer.images[a] == "" for a in frozenset().union(*sets[sets.index(s) :])):
+        raise DomainError("outer morphism erases every letter that occurs infinitely often; image is finite")
     if n == 0:
         return ""
     length = max(n, 16)
-    prev = -1
     while True:
-        fp = fixed_point_prefix(inner, length, max_letters=budget)
-        img = apply(outer, fp)
+        img = apply(outer, fixed_point_prefix(inner, length, max_letters=budget))
         if len(img) >= n:
             return img[:n]
-        if len(img) == prev:
-            raise DomainError("outer image stopped growing; the morphic image appears finite")
-        prev = len(img)
         if length >= budget:
             raise ResourceBudgetError(f"generating {n} image letters exceeded letter budget {budget}")
         length = min(length * 2, budget)

@@ -47,7 +47,9 @@ by depth (``PowerStack.ends``), so the anchored search takes its power
 lengths, power roots and fresh power images from that stack instead of
 rescanning the word's period runs. Matching right to left, a variable that
 closes a k-run or a doubled block takes its lengths from the periods of the
-k-powers or squares ending where its image ends.
+k-powers or squares ending where its image ends. The push decodes the word
+from its byte buffer once, only when a formula or an occurrence budget is
+set, and hands that ``str`` to the stack and to the anchored search.
 
 The anchored search seeds each fragment by its own shape, since a new
 occurrence has a fragment whose image is a new factor, hence a suffix. A
@@ -56,7 +58,7 @@ exactly when its root X is, so it is seeded from the roots the push added
 (``PowerStack.added``); any other fragment from its images ending at the new
 letter. For a formula of root fragments only (``AA.ABAB.BB``) a push that
 adds no root needs no search. This is the semi-naive evaluation of the
-conjunctive query over the root sets (Bancilhon and Ramakrishnan, 1986).
+conjunctive query (Bancilhon and Ramakrishnan, 1986), the new roots its delta.
 
 ``_run_dfs`` hands each good word to an ``on_good`` callback, which answers
 DESCEND (search its extensions), PRUNE (keep it, skip its extensions) or
@@ -279,21 +281,18 @@ class BranchChecker:
             return self._reject("formula")
 
         powers = self.powers
-        if powers is not None:
-            powers.push(buf, n)
-        wb: bytes | None = None
-        if self.formulas:
-            wb = bytes(buf[:n])
-            for f in self.formulas:
-                if new_occurrence_exists(wb, f, powers=powers):
-                    self._unpush()
-                    return "formula"
+        if self.formulas or self.occ is not None:
+            w = self.word()
+            if powers is not None:
+                powers.push(w)
+        for f in self.formulas:
+            if new_occurrence_exists(w, f, powers=powers):
+                self._unpush()
+                return "formula"
         if self.occ is not None:
-            if wb is None:
-                wb = bytes(buf[:n])
             f, budget = self.occ
             seen = self.seen_assignments
-            fresh = [a for a in new_assignments(wb, f, powers=powers) if a not in seen]
+            fresh = [a for a in new_assignments(w, f, powers=powers) if a not in seen]
             if len(seen) + len(fresh) > budget:
                 self._unpush()
                 return "occurrence-budget"

@@ -41,6 +41,16 @@ def test_generate_errors(capsys):
     assert code == 2 and "prolongable" in err
 
 
+def test_generate_decides_a_finite_image_exactly(capsys):
+    """The 1s of the 012/1/222 fixed point sit at 1, 3, 7, 17, 45, 127, ...:
+    sparse, but infinitely many. The 01/1 fixed point has one 0, which is all
+    that outer 1/ keeps."""
+    code, out, _ = run(capsys, "generate", "--morphism", "012/1/222", "--outer", "/1/", "--length", "10")
+    assert (code, out) == (0, "1" * 10 + "\n")
+    code, out, err = run(capsys, "generate", "--morphism", "01/1", "--outer", "1/", "--length", "10")
+    assert code == 2 and out == "" and "image is finite" in err
+
+
 def test_usage_error(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys)[0] == 2
@@ -395,6 +405,26 @@ def test_a_graph_vertex_outside_the_alphabet_exits_2_naming_its_line(tmp_path, c
     code, out, err = run(capsys, "search", "--constraints", str(tmp_path / "g.cons"), "--budget-length", "3")
     assert code == 2 and out == ""
     assert err.startswith(f"error: constraint file line 2: graph: vertex {vertex} is outside"), err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("alphabet 2\nforbid-factor 02\n", 2),
+        ("forbid-factor 01\nforbid-factor 02\nalphabet 2\n", 2),
+        ("alphabet 2\nallow-squares 00\nallow-squares 010\n", 3),
+        ("alphabet 2\nmax-distinct-squares -1\n", 2),
+        ("alphabet 2\nforbid-formula AA\nforbid-formula ABCDEFG\n", 3),
+        ("alphabet 2\nexponent-cap 1/1\n", 2),
+        ("alphabet 2\nforbid-squares-min-period 0\n", 2),
+        ("# budget\nalphabet 2\nmax-occurrences ABCDEFG 3\n", 3),
+    ],
+)
+def test_a_bad_constraint_value_exits_2_naming_its_line(tmp_path, capsys, text, line):
+    (tmp_path / "c.cons").write_text(text)
+    code, out, err = run(capsys, "search", "--constraints", str(tmp_path / "c.cons"), "--budget-length", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: constraint file line {line}:"), err
 
 
 @pytest.mark.parametrize("error", [RuntimeError("boom"), WordlabError("bare")])

@@ -86,6 +86,9 @@ def test_parse_constraints_errors():
         parse_constraints("alphabet 2\ngraph-edges\n")
     with pytest.raises(ParseError, match="line 2: graph: unknown builtin graph"):
         parse_constraints("alphabet 3\ngraph FOO\n")
+    # the budgeted formula is held to the variable limit of the forbidden ones
+    with pytest.raises(DomainError, match="too many variables"):
+        ConstraintSet(2, occurrence_budget=(parse_formula("ABCDEFG"), 3))
 
 
 @pytest.mark.parametrize(

@@ -271,34 +271,39 @@ def test_incremental_assignments_match_batch(w):
             assert new_occurrence_exists(prefix, f, powers=stack) == bool(new)
 
 
+def _roots(powers, k):
+    """All x with x^k a factor, read off ``periods`` and ``roots_of_period``."""
+    return {x for g in powers.periods(k) for x in powers.roots_of_period(k, g)}
+
+
 @given(st.lists(st.integers(-1, 1), max_size=40))
 def test_power_stack_matches_whole_word_powers(ops):
     """Pushes and pops leave the stack answering exactly as a whole-word scan."""
     ks = (2, 3, 4)
     runs = SuffixRuns(2, len(ops))
     stack = PowerStack(ks, runs)
-    buf = bytearray(len(ops))
+    w = ""
     for op in ops:
         if op < 0:
             if not stack.n:
                 continue
             stack.pop()
             runs.pop()
+            w = w[:-1]
         else:
-            buf[stack.n] = ord("0") + op
+            w += str(op)
             runs.push(op)
-            stack.push(buf, stack.n + 1)
-        word = WordPowers(bytes(buf[: stack.n]))
+            stack.push(w)
+        word = WordPowers(w)
         for k in ks:
             for pos in range(stack.n + 1):
-                assert list(stack.ends(k, pos)) == scan_power_ends(word.w.decode(), k, pos), (k, pos)
+                assert list(stack.ends(k, pos)) == scan_power_ends(w, k, pos), (k, pos)
         if op < 0:
             continue
-        before = WordPowers(bytes(buf[: stack.n - 1]))
+        before = WordPowers(w[:-1])
         for k in ks:
-            assert {x for kx, x in stack.added() if kx == k} == word.roots(k) - before.roots(k)
+            assert {x for kx, x in stack.added() if kx == k} == _roots(word, k) - _roots(before, k)
             assert set(stack.periods(k)) == word.periods(k)
-            assert stack.roots(k) == word.roots(k)
             for g in range(1, stack.n // k + 1):
                 assert list(stack.roots_of_period(k, g)) == list(dict.fromkeys(word.roots_of_period(k, g)))
 
@@ -312,13 +317,12 @@ def test_power_stack_matches_whole_word_powers(ops):
     )
 )
 def test_word_powers_match_period_scan(w):
-    word = WordPowers(w.encode())
+    word = WordPowers(w)
     for k in (2, 3, 4):
         by_period = {g: scan_power_roots(w, k, g) for g in range(1, len(w) // k + 1)}
         assert set(word.periods(k)) == {g for g, roots in by_period.items() if roots}
-        assert word.roots(k) == {x.encode() for roots in by_period.values() for x in roots}
         for g, roots in by_period.items():
-            assert [x.decode() for x in word.roots_of_period(k, g)] == roots
+            assert list(word.roots_of_period(k, g)) == roots
     # the a = 1 indexes are read off square_runs, the others from their own pass
     for a in range(4):
         for b in range(3) if a else (1, 2):
@@ -357,10 +361,9 @@ def _stacked_prefixes(w, f):
     """(prefix, PowerStack over it) for every non-empty prefix of w."""
     runs = SuffixRuns(3, len(w))
     stack = PowerStack(anchored_power_exponents(f), runs)
-    buf = bytearray(w.encode())
     for n in range(1, len(w) + 1):
-        runs.push(buf[n - 1] - ord("0"))
-        stack.push(buf, n)
+        runs.push(int(w[n - 1]))
+        stack.push(w[:n])
         yield w[:n], stack
 
 
@@ -427,6 +430,15 @@ def test_mixed_formula_anchor_is_bounded_by_the_new_roots():
     assert new_occurrence_exists(w, f, step_budget=20_000, powers=stack) is False
 
 
+def test_power_stack_rejects_a_word_its_counters_have_not_seen():
+    runs = SuffixRuns(2, 4)
+    stack = PowerStack((2,), runs)
+    runs.push(0)
+    with pytest.raises(DomainError, match="suffix runs cover 1 letters, the word has 2"):
+        stack.push("00")
+    assert stack.n == 0 and not stack.periods(2)
+
+
 def test_anchored_search_rejects_a_power_stack_of_another_length():
     f = parse_formula("AA.ABAB.BB")
     with pytest.raises(DomainError):
@@ -445,10 +457,9 @@ def test_anchored_search_rejects_a_power_stack_missing_an_exponent(text, exponen
     if exponents is not None:
         runs = SuffixRuns(2, 4)
         stack = PowerStack(exponents, runs)
-        buf = bytearray(b"0000")
         for n in range(1, 5):
             runs.push(0)
-            stack.push(buf, n)
+            stack.push("0" * n)
     for search in (new_occurrence_exists, new_assignments):
         with pytest.raises(DomainError, match=re.escape(missing)):
             search("0000", f, powers=stack)

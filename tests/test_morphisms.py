@@ -89,6 +89,10 @@ def test_morphic_prefix_examples():
     assert morphic_prefix(parse_morphism("//1"), HALL_THUE, 4) == "1111"
     with pytest.raises(DomainError):
         morphic_prefix(parse_morphism("//"), HALL_THUE, 4)  # erases everything reachable
+    # the 1s of 012/1/222 never stop, though doubling the prefix may add none
+    assert morphic_prefix(parse_morphism("/1/"), parse_morphism("012/1/222"), 10) == "1" * 10
+    with pytest.raises(DomainError, match="finite"):
+        morphic_prefix(parse_morphism("1/"), parse_morphism("01/1"), 10)  # one 0, then 1s
     for budget in (0, -1):
         with pytest.raises(DomainError, match="letter budget"):
             morphic_prefix(g4, HALL_THUE, 0, max_letters=budget)
